@@ -79,10 +79,15 @@
 // shard); after a crash or SIGKILL of the driver itself, re-running with
 // --resume replays every journaled shard whose artifact is still in the
 // --cache-dir store and recomputes only the rest — the final payload is
-// byte-identical to an uninterrupted run. --max-shard-retries bounds the
-// re-runs a crashed/erroring shard gets (default 2). SIGINT/SIGTERM are
+// byte-identical to an uninterrupted run. SIGINT/SIGTERM are
 // handled cooperatively under --isolate: workers are reaped, the final
 // status JSON and a partial run_manifest.json are flushed, exit code 130.
+//
+// --max-shard-retries N bounds the re-runs any shard gets after its first
+// attempt (default 2, i.e. 3 attempts), in-process and --isolate alike: a
+// shard that throws, overruns, or crashes its worker is re-run from
+// scratch, and only then quarantined (fault profile, crashed worker,
+// scaled census) or failed.
 //
 // Exit-code taxonomy:
 //   0   completed; payload trustworthy (incl. graceful fault degradation)
@@ -102,10 +107,6 @@
 #include "analysis/report_aggregation.h"
 #include "analysis/report_writer.h"
 #include "core/parallel_campaign.h"
-#include "core/report_codec.h"
-#include "core/worker_protocol.h"
-#include "ecosystem/evaluated.h"
-#include "ecosystem/testbed.h"
 #include "faults/profile.h"
 #include "obs/export.h"
 #include "obs/profiler.h"
@@ -122,7 +123,9 @@ int usage() {
                "[--watchdog MULT] [--profile FILE] [--scale N] "
                "[--subscribers M] [--eager] [--cache-dir DIR] "
                "[--cache off|rw|ro] [--explain-cache] [--isolate] "
-               "[--resume] [--max-shard-retries N]\n");
+               "[--resume] [--max-shard-retries N]\n"
+               "  --max-shard-retries N  re-runs per failed shard, in-process "
+               "and isolated (default 2 = 3 attempts)\n");
   return 2;
 }
 
@@ -143,31 +146,16 @@ void install_interrupt_handlers() {
 
 // The hidden --vpna-worker mode: speak the worker protocol on stdio and
 // run shards this process is told to. The worker parses the same command
-// line as the supervisor that exec'd it, so both sides derive identical
+// line as the supervisor that exec'd it and hands the options to the same
+// shard-set builder fork-mode workers use, so both sides run identical
 // shard tables — the index on the command pipe is the only coordination.
 int run_worker_base(const core::CampaignOptions& opts, std::uint64_t seed) {
-  std::vector<std::string> selection;
-  for (const auto& ep : ecosystem::evaluated_providers())
-    selection.push_back(ep.spec.name);
-  const std::shared_ptr<const netsim::RoutingPlane> plane =
-      opts.share_routing_plane ? ecosystem::shared_backbone_plane() : nullptr;
-  const core::RunnerOptions runner = opts.runner;
-  return core::shard_worker_loop(
-      0, 1, [&](std::uint32_t index, std::uint32_t) {
-        return core::encode_provider_report(core::run_provider_shard(
-            selection.at(index), seed, runner, plane));
-      });
+  return core::serve_campaign_worker(opts, {}, seed);
 }
 
 int run_worker_scaled(const ecosystem::ScaledCatalog& catalog,
                       const core::ScaledCampaignOptions& opts) {
-  const std::shared_ptr<const netsim::RoutingPlane> plane =
-      opts.share_routing_plane ? ecosystem::shared_backbone_plane() : nullptr;
-  return core::shard_worker_loop(
-      0, 1, [&](std::uint32_t index, std::uint32_t) {
-        return core::encode_shard_census(
-            core::run_scaled_census_shard(catalog, index, opts, plane));
-      });
+  return core::serve_scaled_worker(catalog, opts);
 }
 
 void print_cache_summary(const core::CacheSummary& cache,
@@ -195,14 +183,14 @@ void explain_cache(const std::vector<core::ShardCacheRecord>& records) {
 int run_scaled(const std::filesystem::path& out_dir, std::size_t scale,
                std::uint32_t subscribers, std::size_t jobs, bool eager,
                const store::CacheConfig& cache, bool explain, bool isolate,
-               int max_shard_retries, bool worker_mode,
+               int shard_attempts, bool worker_mode,
                const std::vector<std::string>& worker_argv) {
   core::ScaledCampaignOptions opts;
   opts.jobs = jobs;
   opts.eager = eager;
   opts.cache = cache;
   opts.isolate = isolate && !eager;
-  opts.max_shard_retries = max_shard_retries;
+  opts.shard_attempts = shard_attempts;
   opts.worker_argv = worker_argv;
   opts.interrupt = &g_interrupt;
 
@@ -260,8 +248,8 @@ int run_scaled(const std::filesystem::path& out_dir, std::size_t scale,
   }
   if (!report.crashed_providers.empty()) {
     std::fprintf(stderr,
-                 "crash quarantine: %zu census shard(s) crashed every "
-                 "isolated attempt (zeroed records merged)\n",
+                 "crash quarantine: %zu census shard(s) failed every "
+                 "attempt (zeroed records merged)\n",
                  report.crashed_providers.size());
     return 3;
   }
@@ -372,14 +360,14 @@ int main(int argc, char** argv) {
 
   if (scale > 0)
     return run_scaled(out_dir, scale, subscribers, jobs, eager, cache, explain,
-                      isolate, max_shard_retries, worker_mode, worker_argv);
+                      isolate, max_shard_retries + 1, worker_mode, worker_argv);
 
   core::CampaignOptions opts;
   opts.runner.vantage_points_per_provider = 3;
   opts.runner.fault_profile = fault_profile;
   opts.runner.speed_test = speed_test;
   opts.jobs = jobs;
-  opts.shard_attempts = 2;
+  opts.shard_attempts = max_shard_retries + 1;
   // Any observability output requires the shards to run traced.
   opts.trace.enabled =
       !trace_path.empty() || !metrics_path.empty() || trace_hops;
@@ -391,7 +379,6 @@ int main(int argc, char** argv) {
   // Process isolation: exec-mode workers, a durable journal next to the
   // artefacts, and cooperative interrupt handling.
   opts.isolate = isolate;
-  opts.max_shard_retries = max_shard_retries;
   opts.worker_argv = worker_argv;
   opts.resume = resume;
   if (isolate) {
@@ -541,9 +528,9 @@ int main(int argc, char** argv) {
   if (!result.crash_quarantined_providers.empty()) {
     std::fprintf(stderr,
                  "crash quarantine: %zu provider shard(s) exhausted their "
-                 "%d retr%s on crashed workers:\n",
-                 result.crash_quarantined_providers.size(), max_shard_retries,
-                 max_shard_retries == 1 ? "y" : "ies");
+                 "%d attempt%s on crashed workers:\n",
+                 result.crash_quarantined_providers.size(), opts.shard_attempts,
+                 opts.shard_attempts == 1 ? "" : "s");
     for (const auto& name : result.crash_quarantined_providers)
       std::fprintf(stderr, "  crash-quarantined: %s\n", name.c_str());
   }

@@ -1,5 +1,7 @@
 #include "analysis/manifest.h"
 
+#include <algorithm>
+
 #include "analysis/report_aggregation.h"
 #include "core/report_codec.h"
 #include "ecosystem/evaluated.h"
@@ -29,7 +31,8 @@ RunManifest build_run_manifest(const core::CampaignOptions& options,
   m.payload_fingerprint = util::fnv1a(payload);
 
   m.jobs = report.jobs;
-  m.shard_attempts = options.shard_attempts;
+  // The budget every backend grants (the executor clamps it to >= 1).
+  m.shard_attempts = std::max(1, options.shard_attempts);
   m.trace_enabled = options.trace.enabled;
 
   m.execution_mode = report.execution_isolated ? "isolated" : "in-process";

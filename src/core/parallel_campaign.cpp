@@ -2,21 +2,16 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <future>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 
 #include "core/report_codec.h"
-#include "core/shard_supervisor.h"
 #include "ecosystem/evaluated.h"
 #include "ecosystem/testbed.h"
 #include "faults/profile.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "store/code_epoch.h"
-#include "store/journal.h"
 #include "transport/policy.h"
 #include "util/mem.h"
 #include "util/rng.h"
@@ -68,26 +63,21 @@ ProviderReport run_provider_shard(
     const std::string& name, std::uint64_t campaign_seed,
     const RunnerOptions& options,
     std::shared_ptr<const netsim::RoutingPlane> plane) {
-  auto shard = ecosystem::build_provider_shard(
-      name, campaign_seed, std::move(plane), options.fault_profile,
-      options.speed_test);
-  if (!shard.world)
-    throw std::invalid_argument("run_provider_shard: unknown provider " + name);
-  return run_shard_body(name, campaign_seed, options, shard);
+  return run_provider_shard(name, campaign_seed, options, obs::TraceConfig{},
+                            nullptr, std::move(plane));
 }
 
 ProviderReport run_provider_shard(
     const std::string& name, std::uint64_t campaign_seed,
     const RunnerOptions& options, const obs::TraceConfig& trace,
     obs::ShardTrace* out, std::shared_ptr<const netsim::RoutingPlane> plane) {
-  if (!trace.enabled || out == nullptr)
-    return run_provider_shard(name, campaign_seed, options, std::move(plane));
-
   auto shard = ecosystem::build_provider_shard(
       name, campaign_seed, std::move(plane), options.fault_profile,
       options.speed_test);
   if (!shard.world)
     throw std::invalid_argument("run_provider_shard: unknown provider " + name);
+  if (!trace.enabled || out == nullptr)
+    return run_shard_body(name, campaign_seed, options, shard);
 
   obs::TraceRecorder recorder(trace);
   recorder.bind_clock(&shard.world->network().clock());
@@ -101,42 +91,6 @@ ProviderReport run_provider_shard(
   out->events = recorder.take_events();
   out->metrics = std::move(metrics);
   return report;
-}
-
-std::string_view cache_outcome_name(ShardCacheRecord::Outcome outcome) noexcept {
-  switch (outcome) {
-    case ShardCacheRecord::Outcome::kBypass:
-      return "bypass";
-    case ShardCacheRecord::Outcome::kHit:
-      return "hit";
-    case ShardCacheRecord::Outcome::kMiss:
-      return "miss";
-    case ShardCacheRecord::Outcome::kCorrupt:
-      return "corrupt";
-  }
-  return "bypass";
-}
-
-CacheSummary summarize_cache(
-    const std::vector<ShardCacheRecord>& records) noexcept {
-  CacheSummary s;
-  s.shards = records.size();
-  for (const auto& r : records) {
-    switch (r.outcome) {
-      case ShardCacheRecord::Outcome::kBypass: ++s.bypassed; break;
-      case ShardCacheRecord::Outcome::kHit:
-        ++s.hits;
-        s.bytes_read += r.bytes;
-        break;
-      case ShardCacheRecord::Outcome::kMiss: ++s.misses; break;
-      case ShardCacheRecord::Outcome::kCorrupt: ++s.corrupt; break;
-    }
-    if (r.stored) {
-      ++s.stored;
-      s.bytes_written += r.bytes;
-    }
-  }
-  return s;
 }
 
 store::ShardKey campaign_shard_key(const std::string& name, std::uint64_t seed,
@@ -153,70 +107,6 @@ store::ShardKey campaign_shard_key(const std::string& name, std::uint64_t seed,
 }
 
 namespace {
-
-// Cache plumbing shared by the serial and pooled paths: keys derived up
-// front (cheap, pure), the store consulted inside each shard task so a hit
-// skips world construction on whichever path runs.
-struct ShardCacheContext {
-  std::optional<store::ArtifactStore> store;
-  std::vector<store::ShardKey> keys;  // aligned with the selection
-  // Traced runs bypass: a ShardTrace is not part of the cached artifact,
-  // so a hit could not reproduce one.
-  bool bypass = false;
-
-  [[nodiscard]] bool enabled() const { return store.has_value(); }
-};
-
-// Consults the store for shard `i`; on a decodable hit fills *report and
-// returns true. Otherwise records the probe outcome (bypass/miss/corrupt)
-// and returns false — the caller recomputes and calls store_shard().
-bool fetch_shard(const ShardCacheContext& ctx, std::size_t i,
-                 const std::string& name, ProviderReport* report,
-                 ShardCacheRecord* record, obs::StatusBoard* status) {
-  record->provider = name;
-  if (!ctx.enabled()) return false;
-  record->key_id = ctx.keys[i].id();
-  if (ctx.bypass) return false;  // outcome stays kBypass
-  obs::ProfileScope profile("campaign.cache");
-  store::FetchResult fetched = ctx.store->fetch(ctx.keys[i]);
-  if (fetched.status == store::FetchStatus::kHit) {
-    ProviderReport decoded;
-    if (decode_provider_report(fetched.payload, &decoded) &&
-        decoded.provider == name) {
-      record->outcome = ShardCacheRecord::Outcome::kHit;
-      record->bytes = fetched.payload.size();
-      if (status != nullptr)
-        status->cache_event(obs::StatusBoard::CacheEvent::kHit);
-      *report = std::move(decoded);
-      return true;
-    }
-    // Integrity-valid but undecodable (foreign writer, or a codec change
-    // that forgot its version bump): corruption from the campaign's point
-    // of view. Evict (rw only) so the rewrite below lands clean.
-    ctx.store->discard(ctx.keys[i]);
-    fetched.status = store::FetchStatus::kCorrupt;
-  }
-  const bool corrupt = fetched.status == store::FetchStatus::kCorrupt;
-  record->outcome = corrupt ? ShardCacheRecord::Outcome::kCorrupt
-                            : ShardCacheRecord::Outcome::kMiss;
-  if (status != nullptr)
-    status->cache_event(corrupt ? obs::StatusBoard::CacheEvent::kCorrupt
-                                : obs::StatusBoard::CacheEvent::kMiss);
-  return false;
-}
-
-// Files a recomputed shard report (rw stores, non-bypassed shards only —
-// and never for failed/quarantined placeholders; callers skip those).
-void store_shard(const ShardCacheContext& ctx, std::size_t i,
-                 const ProviderReport& report, ShardCacheRecord* record) {
-  if (!ctx.enabled() || ctx.bypass || !ctx.store->config().writable()) return;
-  obs::ProfileScope profile("campaign.cache");
-  const std::string bytes = encode_provider_report(report);
-  if (ctx.store->put(ctx.keys[i], bytes)) {
-    record->stored = true;
-    record->bytes = bytes.size();
-  }
-}
 
 // Canonicalize to catalog order, dropping unknown names and duplicates.
 std::vector<std::string> canonical_selection(
@@ -237,115 +127,82 @@ std::vector<std::string> canonical_selection(
   return out;
 }
 
-// Placeholder for a shard that failed every attempt: keeps the provider's
-// slot (and catalog order) in the report without fabricating measurements.
-ProviderReport failed_shard_report(const std::string& name) {
-  ProviderReport report;
-  report.provider = name;
-  const auto* ep = ecosystem::evaluated_provider(name);
-  if (ep != nullptr) {
-    report.subscription = ep->spec.subscription;
-    report.has_custom_client = ep->spec.has_custom_client;
-  }
-  return report;
-}
+// The provider campaign's shard set: slot i is reports[i] (and traces[i]
+// when traced). ParallelCampaign::run and the exec-mode worker build the
+// same set from the same options. The set's callables point into this
+// object, so it stays where it was constructed.
+struct ProviderShards {
+  ProviderShards(const std::vector<std::string>& names, std::uint64_t seed,
+                 const CampaignOptions& options)
+      : selection(canonical_selection(names)),
+        seed(seed),
+        runner(options.runner),
+        trace(options.trace),
+        reports(selection.size()),
+        traces(trace.enabled ? selection.size() : 0) {}
+  ProviderShards(const ProviderShards&) = delete;
+  ProviderShards& operator=(const ProviderShards&) = delete;
 
-// Keeps a failed shard's slot in the traces vector: the shard name with no
-// events and (at most) a failure counter, so trace alignment with
-// `providers` survives shard failures.
-obs::ShardTrace failed_shard_trace(const std::string& name) {
-  obs::ShardTrace trace;
-  trace.shard = name;
-  trace.metrics.add("shard.failed");
-  return trace;
-}
-
-// Quarantine variants: under an active fault profile an exhausted shard is
-// a structured degraded outcome (the campaign still succeeds), not a hard
-// failure — the placeholder carries the quarantined flag instead of the
-// provider landing in failed_providers.
-ProviderReport quarantined_shard_report(const std::string& name) {
-  ProviderReport report = failed_shard_report(name);
-  report.quarantined = true;
-  return report;
-}
-
-obs::ShardTrace quarantined_shard_trace(const std::string& name) {
-  obs::ShardTrace trace;
-  trace.shard = name;
-  trace.metrics.add("shard.quarantined");
-  return trace;
-}
-
-// Background health monitor: on every tick it runs the watchdog scan,
-// refreshes the per-worker counter snapshot on the board, and atomically
-// rewrites the status file. RAII — destruction stops the thread and runs
-// one final tick so the file ends at 100% with the complete alert list.
-// Purely observational: it reads pool counters and board state, so it can
-// never perturb shard results.
-class StatusMonitor {
- public:
-  StatusMonitor(obs::StatusBoard& board, const obs::StatusOptions& opts,
-                const util::TaskPool* pool)
-      : board_(board), opts_(opts), pool_(pool) {
-    thread_ = std::thread([this] { loop(); });
-  }
-
-  ~StatusMonitor() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-    tick();
-  }
-
-  StatusMonitor(const StatusMonitor&) = delete;
-  StatusMonitor& operator=(const StatusMonitor&) = delete;
-
- private:
-  void loop() {
-    const auto interval = std::chrono::duration<double, std::milli>(
-        opts_.interval_ms < 1.0 ? 1.0 : opts_.interval_ms);
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      if (cv_.wait_for(lock, interval, [this] { return stop_; })) return;
-      lock.unlock();
-      tick();
-      lock.lock();
-    }
-  }
-
-  void tick() {
-    if (opts_.watchdog_multiple > 0.0)
-      board_.watchdog_scan(opts_.watchdog_multiple,
-                           opts_.watchdog_min_completed);
-    if (pool_ != nullptr) {
-      std::vector<obs::WorkerStatus> workers;
-      for (const auto& c : pool_->counters()) {
-        obs::WorkerStatus w;
-        w.tasks_run = c.tasks_run;
-        w.steals = c.steals;
-        w.retries = c.retries;
-        w.timeouts = c.timeouts;
-        w.busy_wall_s = c.busy_wall_s;
-        workers.push_back(w);
+  [[nodiscard]] ShardSet set() {
+    ShardSet set;
+    set.names = selection;
+    set.run = [this](std::size_t i) {
+      // Fresh trace per attempt, so a retried shard's trace contains only
+      // the successful run — identical to the first-try trace.
+      obs::ShardTrace shard_trace;
+      reports[i] = run_provider_shard(selection[i], seed, runner, trace,
+                                      traces.empty() ? nullptr : &shard_trace,
+                                      plane);
+      if (!traces.empty()) traces[i] = std::move(shard_trace);
+    };
+    set.encode = [this](std::size_t i) {
+      return encode_provider_report(reports[i]);
+    };
+    set.decode = [this](std::size_t i, std::string_view bytes) {
+      ProviderReport decoded;
+      if (!decode_provider_report(bytes, &decoded) ||
+          decoded.provider != selection[i])
+        return false;
+      reports[i] = std::move(decoded);
+      return true;
+    };
+    set.placeholder = [this](std::size_t i, ShardFate fate) {
+      // Keeps the provider's slot (and catalog order) without fabricating
+      // measurements. Under a fault profile, and for crashed workers, the
+      // placeholder carries the quarantined flag; a trace slot keeps the
+      // shard name with no events and one outcome counter, so trace
+      // alignment with `providers` survives.
+      const bool quarantined =
+          fate == ShardFate::kQuarantined || fate == ShardFate::kCrashed;
+      ProviderReport report;
+      report.provider = selection[i];
+      if (const auto* ep = ecosystem::evaluated_provider(selection[i])) {
+        report.subscription = ep->spec.subscription;
+        report.has_custom_client = ep->spec.has_custom_client;
       }
-      board_.set_workers(std::move(workers));
-    }
-    if (!opts_.file.empty())
-      obs::write_file_atomic(opts_.file,
-                             obs::render_status_json(board_.snapshot()));
+      report.quarantined = quarantined;
+      reports[i] = std::move(report);
+      if (traces.empty()) return;
+      traces[i] = obs::ShardTrace{};
+      traces[i].shard = selection[i];
+      traces[i].metrics.add(quarantined ? "shard.quarantined" : "shard.failed");
+    };
+    set.key = [this](std::size_t i) {
+      return campaign_shard_key(selection[i], seed, runner);
+    };
+    return set;
   }
 
-  obs::StatusBoard& board_;
-  obs::StatusOptions opts_;
-  const util::TaskPool* pool_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;
+  std::vector<std::string> selection;
+  std::uint64_t seed;
+  RunnerOptions runner;
+  obs::TraceConfig trace;
+  // One all-pairs plane serves every shard (their core topologies are
+  // identical); computed once per process so no shard pays the sweep.
+  std::shared_ptr<const netsim::RoutingPlane> plane =
+      ecosystem::shared_backbone_plane();
+  std::vector<ProviderReport> reports;
+  std::vector<obs::ShardTrace> traces;
 };
 
 // Binds a journal to one campaign configuration: the journaled outcomes
@@ -377,425 +234,85 @@ CampaignReport ParallelCampaign::run(const std::vector<std::string>& names,
         "ParallelCampaign: --isolate cannot trace shards (a ShardTrace does "
         "not stream over the worker frame protocol)");
   const auto t0 = std::chrono::steady_clock::now();
-  const auto selection = canonical_selection(names);
+  ProviderShards shards(names, seed, options_);
+
+  ExecutorOptions exec;
+  exec.jobs = options_.jobs;
+  exec.isolate = options_.isolate;
+  exec.shard_attempts = options_.shard_attempts;
+  exec.shard_timeout_s = options_.shard_timeout_s;
+  exec.term_grace_s = options_.term_grace_s;
+  exec.worker_argv = options_.worker_argv;
+  // Under a fault profile, shards that exhaust every attempt degrade
+  // gracefully into quarantine instead of failing the campaign.
+  exec.graceful = options_.runner.fault_profile != faults::FaultProfile::kOff;
+  exec.status = options_.status;
+  exec.cache = options_.cache;
+  exec.cache_bypass = options_.trace.enabled;
+  exec.journal_path = options_.journal_path;
+  exec.fingerprint = campaign_execution_fingerprint(shards.selection, seed,
+                                                    options_.runner);
+  exec.seed = seed;
+  exec.resume = options_.resume;
+  exec.interrupt = options_.interrupt;
+  ExecutorResult run = ShardExecutor(std::move(exec)).run(shards.set());
 
   CampaignReport report;
   report.seed = seed;
-  report.providers.resize(selection.size());
-  const bool traced = options_.trace.enabled;
-  if (traced) report.traces.resize(selection.size());
-
-  const int attempts = options_.shard_attempts < 1 ? 1 : options_.shard_attempts;
-  // Under a fault profile, shards that exhaust every attempt degrade
-  // gracefully into quarantine instead of failing the campaign.
-  const bool graceful =
-      options_.runner.fault_profile != faults::FaultProfile::kOff;
-
-  // One all-pairs plane serves every shard (their core topologies are
-  // identical); computed up front so no shard pays the Dijkstra sweep.
-  const std::shared_ptr<const netsim::RoutingPlane> plane =
-      options_.share_routing_plane ? ecosystem::shared_backbone_plane()
-                                   : nullptr;
-
-  // Health plane: a StatusBoard receives shard heartbeats from whichever
-  // path runs below; the monitor thread (scoped per path, so it never
-  // outlives the pool it snapshots) does the periodic file rewrite and
-  // watchdog scan. Telemetry only — shard results cannot observe it.
-  std::optional<obs::StatusBoard> board;
-  if (options_.status.engaged()) board.emplace();
-  obs::StatusBoard* status = board ? &*board : nullptr;
-
-  // Content-addressed cache: one key per shard, derived up front.
-  ShardCacheContext cache_ctx;
-  if (options_.cache.enabled()) {
-    cache_ctx.store.emplace(options_.cache);
-    cache_ctx.bypass = traced;
-    cache_ctx.keys.reserve(selection.size());
-    for (const auto& name : selection)
-      cache_ctx.keys.push_back(campaign_shard_key(name, seed, options_.runner));
-    report.cache_records.resize(selection.size());
+  report.jobs = run.jobs;
+  report.providers = std::move(shards.reports);
+  report.traces = std::move(shards.traces);
+  // Canonical-order passes over the settled slots: worker count and
+  // scheduling never influence these lists.
+  for (std::size_t i = 0; i < run.slots.size(); ++i) {
+    if (run.slots[i].fate == ShardFate::kFailed)
+      report.failed_providers.push_back(shards.selection[i]);
+    if (run.slots[i].fate == ShardFate::kCrashed)
+      report.crash_quarantined_providers.push_back(shards.selection[i]);
   }
-
-  if (options_.isolate) {
-    // Isolated path: shards run in supervised worker processes; the
-    // supervisor is single-threaded (fork safety), so status ticks happen
-    // inline instead of via a StatusMonitor thread. Cache consults and
-    // journal appends stay in this process — workers only compute.
-    const std::size_t jobs = options_.jobs == 0
-                                 ? std::max(1u, std::thread::hardware_concurrency())
-                                 : options_.jobs;
-    report.jobs = jobs;
-    report.execution_isolated = true;
-    if (status != nullptr) status->begin(selection, jobs);
-
-    const std::uint64_t exec_fp =
-        campaign_execution_fingerprint(selection, seed, options_.runner);
-    store::JournalHeader header;
-    header.campaign_fingerprint = exec_fp;
-    header.seed = seed;
-    header.shards = selection.size();
-    header.cache_dir = options_.cache.dir;
-
-    // Shards settled before the supervisor runs: journal replays first,
-    // then plain warm-cache hits. Both go through fetch_shard, so a
-    // replayed report is exactly the bytes a recompute would produce.
-    std::vector<char> settled(selection.size(), 0);
-    ShardCacheRecord scratch_record;
-    const auto record_for = [&](std::size_t i) {
-      return cache_ctx.enabled() ? &report.cache_records[i] : &scratch_record;
-    };
-
-    bool fresh_journal = true;
-    if (options_.resume && !options_.journal_path.empty()) {
-      store::JournalHeader old_header;
-      std::vector<store::JournalEntry> entries;
-      if (store::CampaignJournal::load(options_.journal_path, &old_header,
-                                       &entries)) {
-        if (old_header.campaign_fingerprint != exec_fp)
-          throw std::runtime_error(
-              "ParallelCampaign: --resume refused — the journal describes a "
-              "different campaign configuration (seed, code epoch, options, "
-              "or provider selection changed)");
-        fresh_journal = false;
-        for (const auto& e : entries) {
-          if (e.outcome != "done" || e.index >= selection.size()) continue;
-          if (e.provider != selection[e.index] || settled[e.index] != 0)
-            continue;
-          if (!cache_ctx.enabled() || cache_ctx.bypass) continue;
-          if (!e.key_id.empty() && e.key_id != cache_ctx.keys[e.index].id())
-            continue;  // journaled under a different key: recompute
-          if (status != nullptr) status->shard_started(e.index, -1);
-          if (fetch_shard(cache_ctx, e.index, selection[e.index],
-                          &report.providers[e.index], record_for(e.index),
-                          status)) {
-            settled[e.index] = 1;
-            ++report.resumed_shards;
-            if (status != nullptr)
-              status->shard_finished(e.index, obs::StatusBoard::Outcome::kDone);
-          }
-        }
-      }
-      // No loadable journal: a fresh run that happens to carry --resume.
-    }
-
-    std::optional<store::CampaignJournal> journal;
-    if (!options_.journal_path.empty())
-      journal = store::CampaignJournal::open(options_.journal_path, header,
-                                             fresh_journal);
-    const auto journal_record = [&](std::size_t i, std::string_view outcome,
-                                    int attempts, std::string_view detail) {
-      if (!journal || !journal->valid()) return;
-      store::JournalEntry e;
-      e.index = i;
-      e.provider = selection[i];
-      e.outcome = std::string(outcome);
-      if (cache_ctx.enabled()) e.key_id = cache_ctx.keys[i].id();
-      e.attempts = attempts;
-      e.detail = std::string(detail);
-      journal->record(e);
-    };
-
-    // Warm-cache pass for everything the journal didn't settle.
-    for (std::size_t i = 0; i < selection.size(); ++i) {
-      if (settled[i] != 0) continue;
-      if (!cache_ctx.enabled() || cache_ctx.bypass) break;
-      if (status != nullptr) status->shard_started(i, -1);
-      if (fetch_shard(cache_ctx, i, selection[i], &report.providers[i],
-                      record_for(i), status)) {
-        settled[i] = 1;
-        if (status != nullptr)
-          status->shard_finished(i, obs::StatusBoard::Outcome::kDone);
-        journal_record(i, "done", 0, "cache-hit");
-      }
-    }
-
-    std::vector<std::size_t> todo;
-    for (std::size_t i = 0; i < selection.size(); ++i)
-      if (settled[i] == 0) todo.push_back(i);
-
-    SupervisorOptions sup;
-    sup.jobs = jobs;
-    sup.max_shard_retries = options_.max_shard_retries;
-    sup.shard_timeout_s = options_.shard_timeout_s;
-    sup.term_grace_s = options_.term_grace_s;
-    sup.watchdog_multiple = options_.status.watchdog_multiple;
-    sup.watchdog_min_completed = options_.status.watchdog_min_completed;
-    sup.worker_argv = options_.worker_argv;
-    sup.graceful = graceful;
-    sup.interrupt = options_.interrupt;
-
-    const RunnerOptions runner_opts = options_.runner;
-    const std::vector<std::string> shard_names = selection;
-    ShardSupervisor supervisor(
-        sup, selection,
-        [shard_names, seed, runner_opts, plane](std::uint32_t index,
-                                                std::uint32_t) {
-          // Runs in the worker (fork mode). The frame payload is the
-          // canonical report encoding — the same bytes a cache artifact
-          // holds, so every consumer downstream decodes one format.
-          return encode_provider_report(run_provider_shard(
-              shard_names.at(index), seed, runner_opts, plane));
-        });
-
-    const auto on_terminal = [&](std::size_t i, const SupervisedShard& s) {
-      // Journal + artifact filing happen here, the moment the outcome is
-      // terminal: a supervisor killed right after this leaves a durable
-      // record of exactly the shards whose results survive.
-      switch (s.outcome) {
-        case SupervisedShard::Outcome::kDone: {
-          auto* record = record_for(i);
-          if (cache_ctx.enabled() && !cache_ctx.bypass &&
-              cache_ctx.store->config().writable() &&
-              cache_ctx.store->put(cache_ctx.keys[i], s.payload)) {
-            record->stored = true;
-            record->bytes = s.payload.size();
-          }
-          journal_record(i, "done", s.attempts, "");
-          break;
-        }
-        case SupervisedShard::Outcome::kCrashed:
-          journal_record(i, "quarantined", s.attempts, s.error);
-          break;
-        case SupervisedShard::Outcome::kError:
-          journal_record(i, graceful ? "quarantined" : "failed", s.attempts,
-                         s.error);
-          break;
-        default:
-          break;
-      }
-    };
-
-    SupervisorResult sres =
-        supervisor.run(todo, status, options_.status, on_terminal);
-
-    for (std::size_t i : todo) {
-      const SupervisedShard& s = sres.shards[i];
-      switch (s.outcome) {
-        case SupervisedShard::Outcome::kDone: {
-          ProviderReport decoded;
-          if (decode_provider_report(s.payload, &decoded) &&
-              decoded.provider == selection[i]) {
-            report.providers[i] = std::move(decoded);
-          } else {
-            // A checksummed frame that doesn't decode means codec skew,
-            // not line noise — quarantine rather than trust it.
-            report.providers[i] = quarantined_shard_report(selection[i]);
-            report.crash_quarantined_providers.push_back(selection[i]);
-          }
-          break;
-        }
-        case SupervisedShard::Outcome::kCrashed:
-          report.providers[i] = quarantined_shard_report(selection[i]);
-          report.crash_quarantined_providers.push_back(selection[i]);
-          break;
-        case SupervisedShard::Outcome::kError:
-          if (graceful) {
-            report.providers[i] = quarantined_shard_report(selection[i]);
-          } else {
-            report.providers[i] = failed_shard_report(selection[i]);
-            report.failed_providers.push_back(selection[i]);
-          }
-          break;
-        case SupervisedShard::Outcome::kSkipped:
-        case SupervisedShard::Outcome::kPending:
-          // Interrupted before completion: placeholder only. The run is
-          // reported interrupted, so nothing downstream trusts the payload.
-          report.providers[i] = failed_shard_report(selection[i]);
-          break;
-      }
-    }
-
-    report.interrupted = sres.interrupted;
-    report.process_spawns = sres.spawns;
-    report.process_crashes = sres.crashes;
-    report.process_kills = sres.kills;
-    report.process_timeouts = sres.timeouts;
-    report.processes = std::move(sres.processes);
-    if (!board) report.watchdog_alerts = sres.alerts;
-  } else if (options_.jobs == 1) {
-    // Serial path: the identical shard tasks, run in-caller in catalog
-    // order. No pool, no threads — the determinism baseline.
-    report.jobs = 1;
-    if (status != nullptr) status->begin(selection, 1);
-    std::optional<StatusMonitor> monitor;
-    if (status != nullptr) monitor.emplace(*status, options_.status, nullptr);
-    util::WorkerCounters serial;
-    ShardCacheRecord scratch_record;
-    for (std::size_t i = 0; i < selection.size(); ++i) {
-      ShardCacheRecord* record = cache_ctx.enabled()
-                                     ? &report.cache_records[i]
-                                     : &scratch_record;
-      if (status != nullptr) status->shard_started(i, -1);
-      if (fetch_shard(cache_ctx, i, selection[i], &report.providers[i], record,
-                      status)) {
-        // Replayed from the store — no world built, no attempts spent. The
-        // merged report is byte-identical to a recompute by the purity of
-        // shards, so nothing downstream can tell.
-        if (status != nullptr)
-          status->shard_finished(i, obs::StatusBoard::Outcome::kDone);
-        continue;
-      }
-      bool done = false;
-      for (int attempt = 1; attempt <= attempts && !done; ++attempt) {
-        ++serial.tasks_run;
-        const auto shard_t0 = std::chrono::steady_clock::now();
-        if (status != nullptr) status->shard_started(i, -1);
-        try {
-          // Fresh trace per attempt, so a retried shard's trace contains
-          // only the successful run — identical to the first-try trace.
-          obs::ShardTrace trace;
-          report.providers[i] = run_provider_shard(
-              selection[i], seed, options_.runner, options_.trace,
-              traced ? &trace : nullptr, plane);
-          if (traced) report.traces[i] = std::move(trace);
-          store_shard(cache_ctx, i, report.providers[i], record);
-          done = true;
-          if (status != nullptr)
-            status->shard_finished(i, obs::StatusBoard::Outcome::kDone);
-        } catch (...) {
-          if (attempt < attempts) {
-            ++serial.retries;
-            if (status != nullptr) status->shard_attempt_failed(i);
-          } else if (graceful) {
-            report.providers[i] = quarantined_shard_report(selection[i]);
-            if (traced) report.traces[i] = quarantined_shard_trace(selection[i]);
-            if (status != nullptr)
-              status->shard_finished(i, obs::StatusBoard::Outcome::kQuarantined);
-          } else {
-            report.providers[i] = failed_shard_report(selection[i]);
-            if (traced) report.traces[i] = failed_shard_trace(selection[i]);
-            report.failed_providers.push_back(selection[i]);
-            if (status != nullptr)
-              status->shard_finished(i, obs::StatusBoard::Outcome::kFailed);
-          }
-          if (!done && attempt == attempts) {
-            // Exhausted shards leave a placeholder, never an artifact; the
-            // provenance record says "bypass" — the cache played no part.
-            record->outcome = ShardCacheRecord::Outcome::kBypass;
-            record->bytes = 0;
-          }
-        }
-        serial.busy_wall_s += std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - shard_t0)
-                                  .count();
-      }
-    }
-    report.workers.push_back(serial);
-  } else {
-    util::TaskPool pool(options_.jobs);
-    report.jobs = pool.worker_count();
-    if (status != nullptr) status->begin(selection, pool.worker_count());
-    // Declared after the pool so it joins (and takes its final counter
-    // snapshot) before the pool is torn down.
-    std::optional<StatusMonitor> monitor;
-    if (status != nullptr) monitor.emplace(*status, options_.status, &pool);
-    util::TaskOptions task_opts;
-    task_opts.max_attempts = attempts;
-    task_opts.timeout_s = options_.shard_timeout_s;
-
-    // A shard's report, its trace, and its cache provenance travel
-    // together through the future so a retry can never pair one attempt's
-    // report with another's trace (or cache record).
-    struct ShardOutcome {
-      ProviderReport report;
-      obs::ShardTrace trace;
-      ShardCacheRecord cache;
-    };
-
-    std::vector<std::future<ShardOutcome>> futures;
-    futures.reserve(selection.size());
-    const RunnerOptions runner_opts = options_.runner;
-    const obs::TraceConfig trace_cfg = options_.trace;
-    for (std::size_t i = 0; i < selection.size(); ++i) {
-      const std::string name = selection[i];
-      futures.push_back(pool.submit(
-          [name, i, seed, runner_opts, trace_cfg, traced, plane, status,
-           &cache_ctx] {
-            // Heartbeats bracket every attempt (the pool re-invokes this
-            // body on retry): started restarts the shard's watchdog clock,
-            // a thrown attempt parks the slot back in pending so its wall
-            // never reaches the ETA median.
-            if (status != nullptr)
-              status->shard_started(i, util::TaskPool::current_worker_index());
-            ShardOutcome out;
-            // Consulted per attempt — fetch is idempotent and cheap, and a
-            // first-attempt failure never wrote anything back.
-            if (fetch_shard(cache_ctx, i, name, &out.report, &out.cache,
-                            status)) {
-              if (status != nullptr)
-                status->shard_finished(i, obs::StatusBoard::Outcome::kDone);
-              return out;
-            }
-            try {
-              out.report = run_provider_shard(name, seed, runner_opts,
-                                              trace_cfg,
-                                              traced ? &out.trace : nullptr,
-                                              plane);
-              store_shard(cache_ctx, i, out.report, &out.cache);
-              if (status != nullptr)
-                status->shard_finished(i, obs::StatusBoard::Outcome::kDone);
-              return out;
-            } catch (...) {
-              if (status != nullptr) status->shard_attempt_failed(i);
-              throw;
-            }
-          },
-          task_opts));
-    }
-    // Merge in canonical catalog order — the futures vector is already in
-    // that order, regardless of which worker ran which shard when. Cached
-    // reports replay through this exact same path: by the time a future
-    // resolves, hit and recompute are indistinguishable.
-    obs::ProfileScope merge_profile("campaign.merge");
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-      try {
-        auto outcome = futures[i].get();
-        report.providers[i] = std::move(outcome.report);
-        if (traced) report.traces[i] = std::move(outcome.trace);
-        if (cache_ctx.enabled())
-          report.cache_records[i] = std::move(outcome.cache);
-      } catch (...) {
-        if (cache_ctx.enabled()) {
-          // Exhausted shards leave a placeholder, never an artifact; the
-          // provenance record says "bypass" — the cache played no part.
-          report.cache_records[i].provider = selection[i];
-          report.cache_records[i].key_id = cache_ctx.keys[i].id();
-        }
-        if (graceful) {
-          report.providers[i] = quarantined_shard_report(selection[i]);
-          if (traced) report.traces[i] = quarantined_shard_trace(selection[i]);
-          if (status != nullptr)
-            status->shard_finished(i, obs::StatusBoard::Outcome::kQuarantined);
-        } else {
-          report.providers[i] = failed_shard_report(selection[i]);
-          if (traced) report.traces[i] = failed_shard_trace(selection[i]);
-          report.failed_providers.push_back(selection[i]);
-          if (status != nullptr)
-            status->shard_finished(i, obs::StatusBoard::Outcome::kFailed);
-        }
-      }
-    }
-    // The last shard's promise resolves before its worker finishes its
-    // counter bookkeeping; drain the pool so the snapshot is complete.
-    pool.wait_idle();
-    report.workers = pool.counters();
-  }
-
-  // One canonical-order pass over the merged providers: worker count and
-  // scheduling never influence this list, so it is part of the
-  // deterministic payload.
   for (const auto& p : report.providers)
     if (p.degraded()) report.degraded_providers.push_back(p.provider);
-
-  if (board) report.watchdog_alerts = board->alerts();
-
+  report.workers = std::move(run.workers);
+  report.watchdog_alerts = std::move(run.watchdog_alerts);
+  report.cache_records = std::move(run.cache_records);
+  report.execution_isolated = options_.isolate;
+  report.interrupted = run.interrupted;
+  report.resumed_shards = run.resumed_shards;
+  report.process_spawns = run.process_spawns;
+  report.process_crashes = run.process_crashes;
+  report.process_kills = run.process_kills;
+  report.process_timeouts = run.process_timeouts;
+  report.processes = std::move(run.processes);
   report.wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   return report;
 }
 
+int serve_campaign_worker(const CampaignOptions& options,
+                          const std::vector<std::string>& names,
+                          std::uint64_t seed) {
+  ProviderShards shards(names, seed, options);
+  return serve_shard_worker(shards.set());
+}
+
 namespace {
+
+// Arena bytes summed over the shard worlds a run builds. Deterministic (a
+// pure function of each shard's build sequence) but summed across threads,
+// so gathered atomically. Cache hits skip the build and add nothing.
+struct ArenaTally {
+  std::atomic<std::uint64_t> reserved{0};
+  std::atomic<std::uint64_t> used{0};
+
+  void add(const ecosystem::Testbed& tb) {
+    if (!tb.world) return;
+    reserved.fetch_add(tb.world->host_arena_reserved_bytes(),
+                       std::memory_order_relaxed);
+    used.fetch_add(tb.world->host_arena_used_bytes(),
+                   std::memory_order_relaxed);
+  }
+};
 
 // One shard's census: counts plus an FNV fingerprint over the target
 // provider's vantage addresses in deployment order. Pure function of the
@@ -824,7 +341,82 @@ ScaledShardCensus census_shard(const ecosystem::ScaledCatalog& catalog,
   return census;
 }
 
+// Builds shard `index`'s world, censuses it, and tears it down: the world
+// exists only for the length of this call, so peak RSS is bounded by live
+// workers, not shard count.
+ScaledShardCensus census_one(const ecosystem::ScaledCatalog& catalog,
+                             std::size_t index,
+                             const ScaledCampaignOptions& options,
+                             std::shared_ptr<const netsim::RoutingPlane> plane,
+                             ArenaTally* arena) {
+  ecosystem::ScaledShardOptions shard_opts;
+  shard_opts.max_clients = options.max_clients;
+  auto shard = ecosystem::build_scaled_shard(
+      catalog, catalog.providers[index].spec.name, options.seed,
+      std::move(plane), shard_opts);
+  if (arena != nullptr) arena->add(shard);
+  return census_shard(catalog, index, shard, options.max_clients);
+}
+
+// The census campaign's shard set: slot i is census[i]. A shard with no
+// result keeps a zeroed record that still names the provider and its
+// catalog subscriber count. Like ProviderShards, it stays where it was
+// constructed.
+struct CensusShards {
+  CensusShards(const ecosystem::ScaledCatalog& catalog,
+               const ScaledCampaignOptions& options, ArenaTally* arena)
+      : catalog(catalog),
+        options(options),
+        arena(arena),
+        census(catalog.providers.size()) {
+    for (const auto& ep : catalog.providers) names.push_back(ep.spec.name);
+  }
+  CensusShards(const CensusShards&) = delete;
+  CensusShards& operator=(const CensusShards&) = delete;
+
+  [[nodiscard]] ShardSet set() {
+    ShardSet set;
+    set.names = names;
+    set.run = [this](std::size_t i) {
+      census[i] = census_one(catalog, i, options, plane, arena);
+    };
+    set.encode = [this](std::size_t i) {
+      return encode_shard_census(census[i]);
+    };
+    set.decode = [this](std::size_t i, std::string_view bytes) {
+      ScaledShardCensus decoded;
+      if (!decode_shard_census(bytes, &decoded) || decoded.provider != names[i])
+        return false;
+      census[i] = std::move(decoded);
+      return true;
+    };
+    set.placeholder = [this](std::size_t i, ShardFate) {
+      census[i] = ScaledShardCensus{};
+      census[i].provider = names[i];
+      census[i].modeled_subscribers = catalog.subscribers[i];
+    };
+    set.key = [this](std::size_t i) {
+      return scaled_shard_key(catalog, names[i], options);
+    };
+    return set;
+  }
+
+  const ecosystem::ScaledCatalog& catalog;
+  const ScaledCampaignOptions& options;
+  ArenaTally* arena;
+  std::shared_ptr<const netsim::RoutingPlane> plane =
+      ecosystem::shared_backbone_plane();
+  std::vector<std::string> names;
+  std::vector<ScaledShardCensus> census;
+};
+
 }  // namespace
+
+int serve_scaled_worker(const ecosystem::ScaledCatalog& catalog,
+                        const ScaledCampaignOptions& options) {
+  CensusShards shards(catalog, options, nullptr);
+  return serve_shard_worker(shards.set());
+}
 
 ScaledShardCensus run_scaled_census_shard(
     const ecosystem::ScaledCatalog& catalog, std::size_t index,
@@ -833,12 +425,7 @@ ScaledShardCensus run_scaled_census_shard(
   if (index >= catalog.providers.size())
     throw std::invalid_argument(
         "run_scaled_census_shard: shard index out of range");
-  ecosystem::ScaledShardOptions shard_opts;
-  shard_opts.max_clients = options.max_clients;
-  auto shard = ecosystem::build_scaled_shard(
-      catalog, catalog.providers[index].spec.name, options.seed,
-      std::move(plane), shard_opts);
-  return census_shard(catalog, index, shard, options.max_clients);
+  return census_one(catalog, index, options, std::move(plane), nullptr);
 }
 
 store::ShardKey scaled_shard_key(const ecosystem::ScaledCatalog& catalog,
@@ -868,194 +455,61 @@ ScaledCampaignReport run_scaled_campaign(
   report.eager = options.eager;
   report.catalog_fingerprint = catalog.fingerprint();
   const std::size_t n = catalog.providers.size();
-  report.shards.resize(n);
-
-  const std::shared_ptr<const netsim::RoutingPlane> plane =
-      options.share_routing_plane ? ecosystem::shared_backbone_plane()
-                                  : nullptr;
-  ecosystem::ScaledShardOptions shard_opts;
-  shard_opts.max_clients = options.max_clients;
-
-  // Content-addressed census cache. Eager mode bypasses it: eager exists
-  // as the RSS A/B baseline and must build every world regardless.
-  std::optional<store::ArtifactStore> art;
-  std::vector<store::ShardKey> keys;
-  const bool cache_on = options.cache.enabled() && !options.eager;
-  if (options.cache.enabled()) {
-    report.cache_records.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-      report.cache_records[i].provider = catalog.providers[i].spec.name;
-  }
-  if (cache_on) {
-    art.emplace(options.cache);
-    keys.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      keys.push_back(
-          scaled_shard_key(catalog, catalog.providers[i].spec.name, options));
-      report.cache_records[i].key_id = keys[i].id();
-    }
-  }
-
-  // Arena accounting is deterministic (a pure function of each shard's
-  // build sequence) but summed across threads, so gather atomically.
-  // Cache hits skip the build, so warm runs contribute nothing here.
-  std::atomic<std::uint64_t> arena_reserved{0};
-  std::atomic<std::uint64_t> arena_used{0};
-
-  // Cache consult; on a decodable hit fills *out and returns true.
-  const auto fetch_one = [&](std::size_t i, ScaledShardCensus* out) -> bool {
-    if (!cache_on) return false;
-    const auto& name = catalog.providers[i].spec.name;
-    ShardCacheRecord* record = &report.cache_records[i];
-    obs::ProfileScope cache_profile("campaign.cache");
-    store::FetchResult fetched = art->fetch(keys[i]);
-    if (fetched.status == store::FetchStatus::kHit) {
-      ScaledShardCensus census;
-      if (decode_shard_census(fetched.payload, &census) &&
-          census.provider == name) {
-        record->outcome = ShardCacheRecord::Outcome::kHit;
-        record->bytes = fetched.payload.size();
-        *out = std::move(census);
-        return true;
-      }
-      art->discard(keys[i]);
-      fetched.status = store::FetchStatus::kCorrupt;
-    }
-    record->outcome = fetched.status == store::FetchStatus::kCorrupt
-                          ? ShardCacheRecord::Outcome::kCorrupt
-                          : ShardCacheRecord::Outcome::kMiss;
-    return false;
-  };
-
-  // Deferred mode: the world exists only between here and the end of
-  // this call — peak RSS is bounded by live workers, not shard count.
-  const auto compute_one = [&](std::size_t i) {
-    const auto& name = catalog.providers[i].spec.name;
-    auto shard = ecosystem::build_scaled_shard(catalog, name, options.seed,
-                                               plane, shard_opts);
-    if (shard.world) {
-      arena_reserved.fetch_add(shard.world->host_arena_reserved_bytes(),
-                               std::memory_order_relaxed);
-      arena_used.fetch_add(shard.world->host_arena_used_bytes(),
-                           std::memory_order_relaxed);
-    }
-    return census_shard(catalog, i, shard, options.max_clients);
-  };
-
-  const auto store_one = [&](std::size_t i, const std::string& bytes) {
-    if (!cache_on || !art->config().writable()) return;
-    obs::ProfileScope cache_profile("campaign.cache");
-    if (art->put(keys[i], bytes)) {
-      report.cache_records[i].stored = true;
-      report.cache_records[i].bytes = bytes.size();
-    }
-  };
-
-  const auto run_one = [&](std::size_t i) {
-    ScaledShardCensus census;
-    if (fetch_one(i, &census)) return census;
-    census = compute_one(i);
-    store_one(i, encode_shard_census(census));
-    return census;
-  };
+  ArenaTally arena;
 
   if (options.eager) {
-    // Eager baseline: every shard world materialized before any census —
-    // the storage pattern deferred mode exists to avoid. Serial by design;
-    // the point is RSS, not throughput.
+    // Eager reference path: every shard world materialized before any
+    // census — the storage pattern deferred mode exists to avoid. Serial
+    // and uncached by design; the point is RSS, not throughput.
     report.jobs = 1;
+    if (options.cache.enabled()) {
+      report.cache_records.resize(n);
+      for (std::size_t i = 0; i < n; ++i)
+        report.cache_records[i].provider = catalog.providers[i].spec.name;
+    }
+    const auto plane = ecosystem::shared_backbone_plane();
+    ecosystem::ScaledShardOptions shard_opts;
+    shard_opts.max_clients = options.max_clients;
     std::vector<ecosystem::Testbed> worlds;
     worlds.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
       worlds.push_back(ecosystem::build_scaled_shard(
           catalog, catalog.providers[i].spec.name, options.seed, plane,
           shard_opts));
+    report.shards.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      if (worlds[i].world) {
-        arena_reserved.fetch_add(worlds[i].world->host_arena_reserved_bytes(),
-                                 std::memory_order_relaxed);
-        arena_used.fetch_add(worlds[i].world->host_arena_used_bytes(),
-                             std::memory_order_relaxed);
-      }
+      arena.add(worlds[i]);
       report.shards[i] =
           census_shard(catalog, i, worlds[i], options.max_clients);
     }
-  } else if (options.isolate) {
-    // Isolated census: misses run in supervised worker processes; cache
-    // consults and artifact puts stay in the supervisor. A shard that
-    // crashes every attempt keeps a zeroed census record (provider name
-    // only), listed in crashed_providers, and the campaign completes.
-    const std::size_t jobs =
-        options.jobs == 0 ? std::max(1u, std::thread::hardware_concurrency())
-                          : options.jobs;
-    report.jobs = jobs;
-    report.execution_isolated = true;
-    std::vector<std::string> names;
-    names.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-      names.push_back(catalog.providers[i].spec.name);
-
-    std::vector<std::size_t> todo;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (fetch_one(i, &report.shards[i])) continue;
-      todo.push_back(i);
-    }
-
-    SupervisorOptions sup;
-    sup.jobs = jobs;
-    sup.max_shard_retries = options.max_shard_retries;
-    sup.term_grace_s = options.term_grace_s;
-    sup.worker_argv = options.worker_argv;
-    sup.graceful = true;  // census shards degrade, never hard-fail the run
-    sup.interrupt = options.interrupt;
-
-    ShardSupervisor supervisor(
-        sup, names, [&compute_one](std::uint32_t index, std::uint32_t) {
-          return encode_shard_census(compute_one(index));
-        });
-    const obs::StatusOptions no_status;
-    SupervisorResult sres = supervisor.run(
-        todo, nullptr, no_status,
-        [&](std::size_t i, const SupervisedShard& s) {
-          if (s.outcome == SupervisedShard::Outcome::kDone)
-            store_one(i, s.payload);
-        });
-
-    for (std::size_t i : todo) {
-      const SupervisedShard& s = sres.shards[i];
-      ScaledShardCensus decoded;
-      if (s.outcome == SupervisedShard::Outcome::kDone &&
-          decode_shard_census(s.payload, &decoded) &&
-          decoded.provider == names[i]) {
-        report.shards[i] = std::move(decoded);
-        continue;
-      }
-      report.shards[i] = ScaledShardCensus{};
-      report.shards[i].provider = names[i];
-      report.shards[i].modeled_subscribers = catalog.subscribers[i];
-      if (s.outcome != SupervisedShard::Outcome::kSkipped &&
-          s.outcome != SupervisedShard::Outcome::kPending)
-        report.crashed_providers.push_back(names[i]);
-    }
-    report.interrupted = sres.interrupted;
-    report.process_spawns = sres.spawns;
-    report.process_crashes = sres.crashes;
-  } else if (options.jobs == 1) {
-    report.jobs = 1;
-    for (std::size_t i = 0; i < n; ++i) report.shards[i] = run_one(i);
   } else {
-    util::TaskPool pool(options.jobs);
-    report.jobs = pool.worker_count();
-    std::vector<std::future<ScaledShardCensus>> futures;
-    futures.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-      futures.push_back(pool.submit([&run_one, i] { return run_one(i); }));
-    // Canonical catalog-order merge, independent of scheduling.
-    for (std::size_t i = 0; i < n; ++i) report.shards[i] = futures[i].get();
+    CensusShards shards(catalog, options, &arena);
+    ExecutorOptions exec;
+    exec.jobs = options.jobs;
+    exec.isolate = options.isolate;
+    exec.shard_attempts = options.shard_attempts;
+    exec.term_grace_s = options.term_grace_s;
+    exec.worker_argv = options.worker_argv;
+    exec.graceful = true;  // census shards degrade, never hard-fail the run
+    exec.cache = options.cache;
+    exec.interrupt = options.interrupt;
+    ExecutorResult run = ShardExecutor(std::move(exec)).run(shards.set());
+    report.shards = std::move(shards.census);
+    for (std::size_t i = 0; i < n; ++i) {
+      const ShardFate fate = run.slots[i].fate;
+      if (fate != ShardFate::kDone && fate != ShardFate::kSkipped)
+        report.crashed_providers.push_back(shards.names[i]);
+    }
+    report.jobs = run.jobs;
+    report.cache_records = std::move(run.cache_records);
+    report.execution_isolated = options.isolate;
+    report.interrupted = run.interrupted;
+    report.process_spawns = run.process_spawns;
+    report.process_crashes = run.process_crashes;
   }
 
-  report.arena_reserved_bytes = arena_reserved.load();
-  report.arena_used_bytes = arena_used.load();
+  report.arena_reserved_bytes = arena.reserved.load();
+  report.arena_used_bytes = arena.used.load();
 
   // Canonical payload serialization (catalog order; telemetry excluded).
   report.payload = "provider,vantage_points,hosts,clients,subscribers,addr_fp\n";

@@ -1,5 +1,6 @@
 // Parallel campaign engine: shards the §5.3 evaluation at provider
-// granularity across a work-stealing pool, with a hard determinism
+// granularity and runs the shards through core::ShardExecutor (in-caller,
+// thread pool, or supervised processes), with a hard determinism
 // contract — every provider runs in its own isolated shard testbed whose
 // world seed derives only from (campaign seed, provider name), and shard
 // reports merge back in canonical catalog order, so the aggregated report
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "core/runner.h"
+#include "core/shard_executor.h"
 #include "ecosystem/scale.h"
 #include "netsim/routing_plane.h"
 #include "obs/export.h"
@@ -25,19 +27,18 @@ namespace vpna::core {
 struct CampaignOptions {
   // Per-vantage-point suite options, applied inside every shard runner.
   RunnerOptions runner;
-  // Worker threads; 0 = hardware concurrency, 1 = serial (in-caller)
-  // execution of the very same shard tasks.
+  // Worker threads (or processes under `isolate`); 0 = hardware
+  // concurrency, 1 = in-caller execution of the very same shards.
   std::size_t jobs = 1;
-  // Shard-level retry/timeout policy (generalizes connect_attempts one
-  // level up: a whole provider shard that throws or overruns its budget is
-  // re-run from scratch — shards are pure, so a re-run is identical).
-  int shard_attempts = 1;
+  // The one shard retry policy, on every backend (generalizes
+  // connect_attempts one level up): a provider shard that throws, crashes
+  // its worker process, or overruns its per-attempt wall budget is re-run
+  // from scratch — shards are pure, so a re-run is identical — up to
+  // `shard_attempts` attempts. Isolated runs kill an overrunning worker
+  // (SIGTERM, then SIGKILL); in-process runs discard the over-budget
+  // result when the attempt returns.
+  int shard_attempts = 3;
   double shard_timeout_s = 0.0;  // 0 = no budget
-  // Share one all-pairs routing plane (ecosystem::shared_backbone_plane())
-  // across all shard worlds instead of letting each shard compute its own.
-  // Read-only sharing: results are identical either way (the cross-shard
-  // determinism test proves it); off only for A/B benchmarking.
-  bool share_routing_plane = true;
   // Observability: when trace.enabled, every shard runs under its own
   // TraceRecorder + MetricsRegistry (bound to the shard's sim clock) and
   // the per-shard observations come back in CampaignReport::traces. Trace
@@ -70,10 +71,6 @@ struct CampaignOptions {
   // byte-compares them). Incompatible with tracing (a ShardTrace cannot
   // stream over the frame protocol): isolate + trace.enabled throws.
   bool isolate = false;
-  // Re-runs granted after a shard's first isolated attempt (crash or
-  // in-worker exception alike). The in-process `shard_attempts` knob is
-  // ignored under isolation — this is the whole retry policy.
-  int max_shard_retries = 2;
   // SIGTERM→SIGKILL grace for hang escalation and shutdown.
   double term_grace_s = 2.0;
   // Exec-mode worker command line (a process that speaks the worker
@@ -90,41 +87,6 @@ struct CampaignOptions {
   // dispatching, reaps workers, and returns with interrupted = true.
   const volatile std::sig_atomic_t* interrupt = nullptr;
 };
-
-// Per-shard cache provenance, recorded in canonical catalog order alongside
-// `providers`. Telemetry, not payload: outcomes depend on what the store
-// held before the run.
-struct ShardCacheRecord {
-  enum class Outcome : std::uint8_t {
-    kBypass,   // cache not consulted (disabled, traced, or failed shard)
-    kHit,      // artifact fetched, decoded, and replayed — world never built
-    kMiss,     // no artifact under this key; shard recomputed
-    kCorrupt,  // artifact present but failed integrity/decode; recomputed
-  };
-  std::string provider;
-  std::string key_id;   // content address (hex); empty when cache disabled
-  Outcome outcome = Outcome::kBypass;
-  bool stored = false;  // recomputed result written back to the store
-  std::uint64_t bytes = 0;  // artifact payload bytes read (hit) or written
-};
-
-[[nodiscard]] std::string_view cache_outcome_name(
-    ShardCacheRecord::Outcome outcome) noexcept;
-
-// Aggregate view over a run's cache records (manifest + CLI summaries).
-struct CacheSummary {
-  std::size_t shards = 0;
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-  std::size_t corrupt = 0;
-  std::size_t bypassed = 0;
-  std::size_t stored = 0;
-  std::uint64_t bytes_read = 0;
-  std::uint64_t bytes_written = 0;
-};
-
-[[nodiscard]] CacheSummary summarize_cache(
-    const std::vector<ShardCacheRecord>& records) noexcept;
 
 // The aggregated campaign result. `providers` is the deterministic payload
 // (canonical catalog order); `workers`/`wall_s` are scheduling telemetry
@@ -166,7 +128,8 @@ struct CampaignReport {
   // shards hold empty placeholders and the payload is incomplete.
   bool interrupted = false;
   // Providers quarantined because their shard *crashed* every isolated
-  // attempt (worker death/kill, not an in-shard exception). Canonical
+  // attempt (worker death/kill or an undecodable result frame, not an
+  // in-shard exception). Canonical
   // catalog order. Distinct from fault-profile quarantine: a crash
   // quarantine is an engine-health event and fails the run with its own
   // exit code even though the campaign completed.
@@ -222,7 +185,8 @@ struct CampaignReport {
 
 struct ScaledCampaignOptions {
   std::uint64_t seed = 20181031;
-  // Worker threads; 0 = hardware concurrency, 1 = serial.
+  // Worker threads (or processes under `isolate`); 0 = hardware
+  // concurrency, 1 = in-caller.
   std::size_t jobs = 1;
   // Eager mode materializes every shard world in the driver before any
   // census runs — the peak-RSS A/B baseline. The default (deferred) hands
@@ -231,18 +195,19 @@ struct ScaledCampaignOptions {
   bool eager = false;
   // Per-shard eyeball-client materialization cap (see ScaledShardOptions).
   std::uint32_t max_clients = 4;
-  bool share_routing_plane = true;
   // Content-addressed census cache, keyed per provider on the scaled
   // catalog's provider_fingerprint() — independent of catalog size, so
   // growing N providers to N+1 recomputes exactly the one new shard.
   store::CacheConfig cache;
+  // Attempts per census shard, on every backend (CampaignOptions'
+  // policy). A shard that throws or crashes every attempt keeps a zeroed
+  // census record, listed in crashed_providers, so the catalog-order
+  // payload still completes.
+  int shard_attempts = 3;
   // Process isolation (same machinery as CampaignOptions::isolate): census
-  // shards run in supervised worker processes; a crashed shard retries and,
-  // exhausted, keeps a zeroed census record so the catalog-order payload
-  // still completes. Ignored in eager mode (the RSS baseline is in-process
-  // by definition).
+  // shards run in supervised worker processes. Ignored in eager mode (the
+  // RSS baseline is in-process by definition).
   bool isolate = false;
-  int max_shard_retries = 2;
   double term_grace_s = 2.0;
   std::vector<std::string> worker_argv;  // empty = fork-mode workers
   const volatile std::sig_atomic_t* interrupt = nullptr;
@@ -275,8 +240,8 @@ struct ScaledCampaignReport {
   std::uint64_t arena_used_bytes = 0;
   // Cache provenance in canonical catalog order; empty when disabled.
   std::vector<ShardCacheRecord> cache_records;
-  // Isolate-mode provenance: providers whose census shard crashed every
-  // attempt (zeroed record in `shards`), plus process telemetry.
+  // Providers whose census shard threw or crashed every attempt (zeroed
+  // record in `shards`), plus isolate-mode process telemetry.
   bool execution_isolated = false;
   bool interrupted = false;
   std::vector<std::string> crashed_providers;
@@ -292,9 +257,9 @@ struct ScaledCampaignReport {
     const ScaledCampaignOptions& options = {});
 
 // One scaled shard's census, computed in isolation: builds the provider's
-// shard world, censuses it, and tears it down. This is the worker-process
-// entry point for isolated scaled campaigns (`--scale --isolate`); pure,
-// so it agrees byte for byte with the in-process engine.
+// shard world, censuses it, and tears it down. Every backend of
+// run_scaled_campaign computes its shards through this; pure, so it agrees
+// byte for byte with the eager reference path.
 [[nodiscard]] ScaledShardCensus run_scaled_census_shard(
     const ecosystem::ScaledCatalog& catalog, std::size_t index,
     const ScaledCampaignOptions& options,
@@ -307,6 +272,17 @@ struct ScaledCampaignReport {
 [[nodiscard]] store::ShardKey scaled_shard_key(
     const ecosystem::ScaledCatalog& catalog, const std::string& name,
     const ScaledCampaignOptions& options);
+
+// Exec-mode worker entry points (`full_campaign ... --vpna-worker`): serve
+// the worker protocol on stdin/stdout with the very shard set that
+// ParallelCampaign::run / run_scaled_campaign hand their fork-mode workers
+// for the same options, so the shard table and the shard callables cannot
+// drift between the two modes.
+[[nodiscard]] int serve_campaign_worker(const CampaignOptions& options,
+                                        const std::vector<std::string>& names,
+                                        std::uint64_t seed);
+[[nodiscard]] int serve_scaled_worker(const ecosystem::ScaledCatalog& catalog,
+                                      const ScaledCampaignOptions& options);
 
 class ParallelCampaign {
  public:

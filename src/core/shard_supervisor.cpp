@@ -148,14 +148,6 @@ SupervisorResult ShardSupervisor::run(const std::vector<std::size_t>& indices,
     return std::min(ms, options_.backoff_max_ms) / 1000.0;
   };
 
-  const auto status_outcome = [&](SupervisedShard::Outcome oc) {
-    if (oc == SupervisedShard::Outcome::kDone)
-      return obs::StatusBoard::Outcome::kDone;
-    if (oc == SupervisedShard::Outcome::kError && !options_.graceful)
-      return obs::StatusBoard::Outcome::kFailed;
-    return obs::StatusBoard::Outcome::kQuarantined;
-  };
-
   const auto finish_shard = [&](std::size_t index,
                                 SupervisedShard::Outcome oc, int attempts,
                                 std::string payload_or_error) {
@@ -167,7 +159,6 @@ SupervisorResult ShardSupervisor::run(const std::vector<std::size_t>& indices,
     else
       shard.error = std::move(payload_or_error);
     --remaining;
-    if (status != nullptr) status->shard_finished(index, status_outcome(oc));
     if (on_terminal) on_terminal(index, shard);
     ++terminal_count;
     if (crash_directive && terminal_count >= crash_directive->after)
@@ -176,7 +167,7 @@ SupervisorResult ShardSupervisor::run(const std::vector<std::size_t>& indices,
 
   const auto attempt_failed = [&](std::size_t index, int attempt,
                                   bool is_crash, std::string why) {
-    if (attempt <= options_.max_shard_retries) {
+    if (attempt < options_.shard_attempts) {
       pending.push_back({index, attempt + 1, mono_s() + backoff_s(attempt)});
       if (status != nullptr) status->shard_attempt_failed(index);
       return;

@@ -9,7 +9,7 @@
 // its result stream, or hangs is *contained* —
 //
 //   death/garbage  → the in-flight shard is retried with exponential
-//                    backoff on a fresh process, up to a retry budget,
+//                    backoff on a fresh process, up to its attempt budget,
 //                    then reported as crashed (the campaign quarantines it
 //                    and completes);
 //   hang           → the hard per-shard timeout, or the PR 7 median-
@@ -47,9 +47,8 @@ namespace vpna::core {
 
 struct SupervisorOptions {
   std::size_t jobs = 1;
-  // Re-runs granted to a shard after its first attempt (crash or error
-  // frame alike). Total attempts = max_shard_retries + 1.
-  int max_shard_retries = 2;
+  // Attempts granted to a shard (crash or error frame alike), >= 1.
+  int shard_attempts = 3;
   // Exponential backoff between a shard's failed attempt and its re-run:
   // initial × 2^(attempt-1), capped. Wall-clock telemetry only — the
   // shard's recompute is deterministic regardless of when it happens.
@@ -70,10 +69,6 @@ struct SupervisorOptions {
   // stdio (e.g. `full_campaign ... --vpna-worker`). Empty = fork mode:
   // workers are forked from this process and run `child_run` directly.
   std::vector<std::string> worker_argv;
-  // Campaign-policy view of exhausted *error* shards (worker reported an
-  // exception every attempt): true → status shows quarantined, false →
-  // failed. Crashed shards always quarantine.
-  bool graceful = false;
   // Cooperative interrupt (SIGINT/SIGTERM handler flag). When it becomes
   // non-zero the supervisor stops dispatching, TERM→KILLs workers, marks
   // unfinished shards kSkipped, and returns with interrupted=true.
@@ -125,8 +120,9 @@ class ShardSupervisor {
                   ChildRun child_run);
 
   // Runs the shards listed in `indices` (each < names.size()). `status`
-  // may be null; when given, heartbeats and per-process info flow into it
-  // and `status_opts.file` is rewritten atomically every interval.
+  // may be null; when given, attempt heartbeats and per-process info flow
+  // into it and `status_opts.file` is rewritten atomically every interval.
+  // Terminal outcomes are the hook's to publish.
   SupervisorResult run(const std::vector<std::size_t>& indices,
                        obs::StatusBoard* status,
                        const obs::StatusOptions& status_opts,

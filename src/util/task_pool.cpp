@@ -1,5 +1,7 @@
 #include "util/task_pool.h"
 
+#include <chrono>
+
 #ifdef __linux__
 #include <time.h>
 #endif
@@ -129,23 +131,18 @@ void TaskPool::worker_loop(std::size_t index) {
       std::this_thread::yield();
       continue;
     }
-    // Policy bookkeeping lands in a task-local delta merged under the
-    // worker's lock afterwards, so counters() never races a running task.
-    WorkerCounters delta;
     const auto wall0 = std::chrono::steady_clock::now();
     const double cpu0 = thread_cpu_seconds();
-    task(delta);
-    delta.busy_cpu_s = thread_cpu_seconds() - cpu0;
-    delta.busy_wall_s =
+    task();
+    const double cpu_s = thread_cpu_seconds() - cpu0;
+    const double wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
             .count();
     {
       std::lock_guard<std::mutex> lock(self.mu);
-      self.counters.tasks_run += delta.tasks_run;
-      self.counters.retries += delta.retries;
-      self.counters.timeouts += delta.timeouts;
-      self.counters.busy_wall_s += delta.busy_wall_s;
-      self.counters.busy_cpu_s += delta.busy_cpu_s;
+      ++self.counters.tasks_run;
+      self.counters.busy_wall_s += wall_s;
+      self.counters.busy_cpu_s += cpu_s;
     }
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -175,8 +172,6 @@ WorkerCounters TaskPool::total_counters() const {
   for (const auto& c : counters()) {
     total.tasks_run += c.tasks_run;
     total.steals += c.steals;
-    total.retries += c.retries;
-    total.timeouts += c.timeouts;
     total.busy_wall_s += c.busy_wall_s;
     total.busy_cpu_s += c.busy_cpu_s;
   }

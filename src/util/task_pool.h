@@ -1,18 +1,18 @@
 // Work-stealing thread pool for embarrassingly parallel campaign work.
 //
 // Each worker owns a deque; submissions are distributed round-robin and an
-// idle worker steals from the back of a victim's deque. Tasks carry optional
-// retry and timeout policy (generalizing the runner's connect_attempts), and
-// every worker keeps lightweight counters (tasks run, steals, retries,
-// timeouts, busy wall/cpu time) that campaign reports surface.
+// idle worker steals from the back of a victim's deque. The pool only
+// schedules: a task runs once and its result or exception lands in its
+// future (retries and budgets belong to core::ShardExecutor). Every worker
+// keeps lightweight counters (tasks run, steals, busy wall/cpu time) that
+// campaign reports surface.
 //
-// The pool schedules work; it never makes results depend on scheduling. Any
-// task set whose tasks are independent and individually deterministic yields
-// the same results at any worker count — that contract is what the parallel
+// The pool never makes results depend on scheduling. Any task set whose
+// tasks are independent and individually deterministic yields the same
+// results at any worker count — that contract is what the parallel
 // campaign engine builds on (see DESIGN.md §7).
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -20,35 +20,18 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 #include <thread>
 #include <type_traits>
 #include <vector>
 
 namespace vpna::util {
 
-// Per-task execution policy.
-struct TaskOptions {
-  // Total attempts before the task's failure is surfaced (>= 1). A thrown
-  // exception or an exceeded timeout consumes one attempt.
-  int max_attempts = 1;
-  // Per-attempt wall-clock budget in seconds; 0 disables the check. The
-  // pool cannot preempt a running task, so the timeout is checked when the
-  // attempt finishes: an over-budget attempt is discarded and retried (or
-  // reported as TaskTimeoutError once attempts are exhausted).
-  double timeout_s = 0.0;
-};
-
-// Raised through the task's future when every attempt exceeded its budget.
-class TaskTimeoutError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
 // Counters one worker accumulates over its lifetime. Snapshot via
-// TaskPool::counters(); totals via TaskPool::total_counters().
+// TaskPool::counters(); totals via TaskPool::total_counters(). The pool
+// never retries, so it leaves `retries` and `timeouts` at zero; the shard
+// executor's per-worker rows fill them from its attempt loop.
 struct WorkerCounters {
-  std::uint64_t tasks_run = 0;  // attempts started (retries included)
+  std::uint64_t tasks_run = 0;  // task bodies (executor: attempts) started
   std::uint64_t steals = 0;     // tasks taken from another worker's deque
   std::uint64_t retries = 0;    // failed attempts that were re-run
   std::uint64_t timeouts = 0;   // attempts discarded for exceeding budget
@@ -73,23 +56,18 @@ class TaskPool {
   // index through every task signature.
   [[nodiscard]] static int current_worker_index() noexcept;
 
-  // Schedules `fn` and returns a future for its result. Retry/timeout
-  // policy comes from `opts`; the final failure (exception or timeout)
-  // propagates through the future.
+  // Schedules `fn` and returns a future for its result; an exception
+  // thrown by `fn` propagates through the future.
   template <typename F>
-  auto submit(F fn, TaskOptions opts = {})
-      -> std::future<std::invoke_result_t<F&>> {
+  auto submit(F fn) -> std::future<std::invoke_result_t<F&>> {
     using R = std::invoke_result_t<F&>;
-    auto prom = std::make_shared<std::promise<R>>();
-    auto fut = prom->get_future();
-    auto body = std::make_shared<F>(std::move(fn));
-    enqueue([prom, body, opts](WorkerCounters& c) {
-      run_with_policy<R>(*prom, *body, opts, c);
-    });
+    auto task = std::make_shared<std::packaged_task<R()>>(std::move(fn));
+    auto fut = task->get_future();
+    enqueue([task] { (*task)(); });
     return fut;
   }
 
-  // Blocks until every submitted task has finished (including retries).
+  // Blocks until every submitted task has finished.
   void wait_idle();
 
   // Per-worker counter snapshot. Values are exact once the pool is idle;
@@ -98,11 +76,11 @@ class TaskPool {
   [[nodiscard]] WorkerCounters total_counters() const;
 
  private:
-  using Task = std::function<void(WorkerCounters&)>;
+  using Task = std::function<void()>;
 
   struct Worker {
     // Guards both queue and counters. Every counter write — the steal bump
-    // in try_acquire and the post-task delta merge in worker_loop — happens
+    // in try_acquire and the post-task merge in worker_loop — happens
     // under this mutex, and counters() reads under it too, so a concurrent
     // snapshot can lag in-flight tasks but never observes a torn update.
     mutable std::mutex mu;
@@ -110,64 +88,6 @@ class TaskPool {
     WorkerCounters counters;
     std::thread thread;
   };
-
-  template <typename R, typename F>
-  static void run_with_policy(std::promise<R>& prom, F& body, TaskOptions opts,
-                              WorkerCounters& c) {
-    const int attempts = opts.max_attempts < 1 ? 1 : opts.max_attempts;
-    for (int attempt = 1; attempt <= attempts; ++attempt) {
-      ++c.tasks_run;
-      const auto t0 = std::chrono::steady_clock::now();
-      try {
-        if constexpr (std::is_void_v<R>) {
-          body();
-          if (attempt_timed_out(t0, opts)) {
-            ++c.timeouts;
-            if (attempt < attempts) {
-              ++c.retries;
-              continue;
-            }
-            prom.set_exception(std::make_exception_ptr(
-                TaskTimeoutError("task exceeded per-attempt budget")));
-            return;
-          }
-          prom.set_value();
-        } else {
-          R result = body();
-          if (attempt_timed_out(t0, opts)) {
-            ++c.timeouts;
-            if (attempt < attempts) {
-              ++c.retries;
-              continue;
-            }
-            prom.set_exception(std::make_exception_ptr(
-                TaskTimeoutError("task exceeded per-attempt budget")));
-            return;
-          }
-          prom.set_value(std::move(result));
-        }
-        return;
-      } catch (const std::future_error&) {
-        throw;  // promise already satisfied: a bug, not a task failure
-      } catch (...) {
-        if (attempt < attempts) {
-          ++c.retries;
-          continue;
-        }
-        prom.set_exception(std::current_exception());
-        return;
-      }
-    }
-  }
-
-  static bool attempt_timed_out(std::chrono::steady_clock::time_point t0,
-                                const TaskOptions& opts) {
-    if (opts.timeout_s <= 0.0) return false;
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    return elapsed > opts.timeout_s;
-  }
 
   void enqueue(Task task);
   void worker_loop(std::size_t index);

@@ -112,13 +112,15 @@ TEST(DegradationAppendix, RendersQuarantineAndGiveUpLines) {
 // --- end-to-end quarantine via the campaign engine ------------------------
 
 // A sub-nanosecond per-attempt budget makes every shard attempt "overrun"
-// (the pool checks the budget when the attempt finishes), so with
-// shard_attempts=1 every shard exhausts its attempts deterministically.
-core::CampaignOptions exhausted_shard_options(faults::FaultProfile profile) {
+// (in-process backends check the budget when the attempt returns), so with
+// shard_attempts=1 every shard exhausts its attempts deterministically —
+// in-caller (jobs 1) and on the pool (jobs 2) alike.
+core::CampaignOptions exhausted_shard_options(faults::FaultProfile profile,
+                                              std::size_t jobs) {
   core::CampaignOptions opts;
   opts.runner.vantage_points_per_provider = 1;
   opts.runner.fault_profile = profile;
-  opts.jobs = 2;  // the timeout budget only exists on the pool path
+  opts.jobs = jobs;
   opts.shard_attempts = 1;
   opts.shard_timeout_s = 1e-9;
   return opts;
@@ -127,44 +129,50 @@ core::CampaignOptions exhausted_shard_options(faults::FaultProfile profile) {
 const std::vector<std::string> kSubset = {"NordVPN", "Anonine"};
 
 TEST(QuarantineIntegration, FaultProfileQuarantinesExhaustedShards) {
-  core::ParallelCampaign campaign(
-      exhausted_shard_options(faults::FaultProfile::kFlaky));
-  const auto report = campaign.run(kSubset, 99);
+  for (std::size_t jobs : {1u, 2u}) {
+    SCOPED_TRACE(jobs);
+    core::ParallelCampaign campaign(
+        exhausted_shard_options(faults::FaultProfile::kFlaky, jobs));
+    const auto report = campaign.run(kSubset, 99);
 
-  // Both shards exhausted their budget — but the run degrades, not fails.
-  ASSERT_EQ(report.providers.size(), 2u);
-  EXPECT_TRUE(report.failed_providers.empty());
-  for (const auto& provider : report.providers) {
-    EXPECT_TRUE(provider.quarantined) << provider.provider;
-    EXPECT_TRUE(provider.degraded()) << provider.provider;
-    EXPECT_TRUE(provider.vantage_points.empty()) << provider.provider;
+    // Both shards exhausted their budget — but the run degrades, not fails.
+    ASSERT_EQ(report.providers.size(), 2u);
+    EXPECT_TRUE(report.failed_providers.empty());
+    for (const auto& provider : report.providers) {
+      EXPECT_TRUE(provider.quarantined) << provider.provider;
+      EXPECT_TRUE(provider.degraded()) << provider.provider;
+      EXPECT_TRUE(provider.vantage_points.empty()) << provider.provider;
+    }
+    EXPECT_EQ(report.degraded_providers, kSubset);
+
+    const auto summary = analysis::summarize_campaign(report);
+    EXPECT_EQ(summary.quarantined_shards, 2u);
+    EXPECT_EQ(summary.failed_shards, 0u);
+    EXPECT_EQ(analysis::campaign_exit_code(summary), 0);
+    EXPECT_NE(analysis::render_degradation_appendix(report), "");
   }
-  EXPECT_EQ(report.degraded_providers, kSubset);
-
-  const auto summary = analysis::summarize_campaign(report);
-  EXPECT_EQ(summary.quarantined_shards, 2u);
-  EXPECT_EQ(summary.failed_shards, 0u);
-  EXPECT_EQ(analysis::campaign_exit_code(summary), 0);
-  EXPECT_NE(analysis::render_degradation_appendix(report), "");
 }
 
 TEST(QuarantineIntegration, OffProfileKeepsHardFailureSemantics) {
-  core::ParallelCampaign campaign(
-      exhausted_shard_options(faults::FaultProfile::kOff));
-  const auto report = campaign.run(kSubset, 99);
+  for (std::size_t jobs : {1u, 2u}) {
+    SCOPED_TRACE(jobs);
+    core::ParallelCampaign campaign(
+        exhausted_shard_options(faults::FaultProfile::kOff, jobs));
+    const auto report = campaign.run(kSubset, 99);
 
-  // Same exhaustion without a fault profile stays a hard failure: the
-  // providers land in failed_providers and the run exits non-zero.
-  ASSERT_EQ(report.providers.size(), 2u);
-  EXPECT_EQ(report.failed_providers, kSubset);
-  EXPECT_TRUE(report.degraded_providers.empty());
-  for (const auto& provider : report.providers)
-    EXPECT_FALSE(provider.quarantined) << provider.provider;
+    // Same exhaustion without a fault profile stays a hard failure: the
+    // providers land in failed_providers and the run exits non-zero.
+    ASSERT_EQ(report.providers.size(), 2u);
+    EXPECT_EQ(report.failed_providers, kSubset);
+    EXPECT_TRUE(report.degraded_providers.empty());
+    for (const auto& provider : report.providers)
+      EXPECT_FALSE(provider.quarantined) << provider.provider;
 
-  const auto summary = analysis::summarize_campaign(report);
-  EXPECT_EQ(summary.failed_shards, 2u);
-  EXPECT_EQ(summary.quarantined_shards, 0u);
-  EXPECT_EQ(analysis::campaign_exit_code(summary), 1);
+    const auto summary = analysis::summarize_campaign(report);
+    EXPECT_EQ(summary.failed_shards, 2u);
+    EXPECT_EQ(summary.quarantined_shards, 0u);
+    EXPECT_EQ(analysis::campaign_exit_code(summary), 1);
+  }
 }
 
 }  // namespace

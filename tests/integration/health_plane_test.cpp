@@ -46,7 +46,11 @@ class HealthPlaneTest : public ::testing::Test {
   void SetUp() override {
     obs::Profiler::disable();
     obs::Profiler::instance().reset();
-    dir_ = std::filesystem::temp_directory_path() / "vpna_health_plane_test";
+    // One directory per test: ctest runs these cases in parallel, and a
+    // shared directory lets one case's TearDown delete another's files.
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = std::filesystem::temp_directory_path() /
+           (std::string("vpna_health_plane_test_") + info->name());
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {

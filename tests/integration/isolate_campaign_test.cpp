@@ -99,7 +99,7 @@ TEST(IsolateCampaign, CrashedWorkerIsRetriedOnAFreshProcess) {
 TEST(IsolateCampaign, SegfaultingEveryAttemptQuarantinesJustThatShard) {
   EnvGuard crash("VPNA_CRASH_SHARD", "0:segv:always");
   auto opts = subset_options(2, true);
-  opts.max_shard_retries = 1;
+  opts.shard_attempts = 2;
   core::ParallelCampaign campaign(opts);
   const auto report = campaign.run(kSubset);
   ASSERT_EQ(report.crash_quarantined_providers.size(), 1u);
@@ -120,7 +120,7 @@ TEST(IsolateCampaign, HangingWorkerIsEscalatedAndQuarantined) {
   auto opts = subset_options(2, true);
   opts.shard_timeout_s = 0.4;
   opts.term_grace_s = 0.1;
-  opts.max_shard_retries = 0;
+  opts.shard_attempts = 1;
   core::ParallelCampaign campaign(opts);
   const auto report = campaign.run(kSubset);
   ASSERT_EQ(report.crash_quarantined_providers.size(), 1u);
@@ -240,7 +240,7 @@ TEST(IsolateCampaign, ScaledCensusCrashKeepsAZeroedRecordAndCompletes) {
   core::ScaledCampaignOptions opts;
   opts.jobs = 2;
   opts.isolate = true;
-  opts.max_shard_retries = 0;
+  opts.shard_attempts = 1;
   const auto report = core::run_scaled_campaign(catalog, opts);
   ASSERT_EQ(report.crashed_providers.size(), 1u);
   ASSERT_EQ(report.shards.size(), 12u);

@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/report_aggregation.h"
 #include "ecosystem/testbed.h"
+#include "store/code_epoch.h"
+#include "util/rng.h"
 
 namespace vpna {
 namespace {
@@ -44,6 +47,23 @@ TEST(ParallelCampaign, SerialAndParallelPayloadsAreByteIdentical) {
     const std::string parallel = payload_at_jobs(jobs, seed);
     EXPECT_EQ(serial, parallel) << "payload diverged at jobs=" << jobs;
   }
+}
+
+// The golden pin: the default full_campaign configuration (all 62
+// providers, 3 vantage points each, seed 20181031) must serialize to the
+// documented payload fingerprint under the current code epoch. A change
+// that moves this pair must bump store::kCodeEpoch and re-pin it here.
+TEST(ParallelCampaign, DefaultCampaignMatchesGoldenFingerprint) {
+  core::CampaignOptions opts;
+  opts.runner.vantage_points_per_provider = 3;
+  opts.jobs = 4;
+  const auto report = core::ParallelCampaign(opts).run({}, 20181031);
+  ASSERT_EQ(report.providers.size(), 62u);
+  const auto fingerprint =
+      util::fnv1a(analysis::serialize_campaign_payload(report));
+  EXPECT_EQ(std::make_pair(store::kCodeEpoch, fingerprint),
+            std::make_pair(std::uint32_t{1},
+                           std::uint64_t{0xb18430c525c24657ULL}));
 }
 
 TEST(ParallelCampaign, CallerNameOrderDoesNotMatter) {
@@ -119,17 +139,22 @@ TEST(ParallelCampaign, UnknownShardNameThrows) {
 }
 
 TEST(ParallelCampaign, SharedPlaneAndPerShardPlanesYieldIdenticalPayloads) {
-  // The routing plane is a pure accelerator: a campaign whose shards adopt
-  // one process-wide plane must produce the same bytes as one where every
-  // shard computes all-pairs routes for itself.
+  // The routing plane is a pure accelerator: shards that adopt the one
+  // process-wide plane must serialize to the same bytes as shards that
+  // compute all-pairs routes for themselves.
   const std::uint64_t seed = 20181031;
-  auto opts = subset_options(4);
-  opts.share_routing_plane = true;
-  core::ParallelCampaign shared(opts);
-  opts.share_routing_plane = false;
-  core::ParallelCampaign per_shard(opts);
-  EXPECT_EQ(analysis::serialize_campaign_payload(shared.run(kSubset, seed)),
-            analysis::serialize_campaign_payload(per_shard.run(kSubset, seed)));
+  const auto opts = subset_options(1);
+  const auto plane = ecosystem::shared_backbone_plane();
+  core::CampaignReport shared;
+  core::CampaignReport per_shard;
+  for (const auto& name : kSubset) {
+    shared.providers.push_back(
+        core::run_provider_shard(name, seed, opts.runner, plane));
+    per_shard.providers.push_back(
+        core::run_provider_shard(name, seed, opts.runner, nullptr));
+  }
+  EXPECT_EQ(analysis::serialize_campaign_payload(shared),
+            analysis::serialize_campaign_payload(per_shard));
 }
 
 TEST(ParallelCampaign, ShardAdoptsSharedPlaneByFingerprint) {

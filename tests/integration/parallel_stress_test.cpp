@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "analysis/report_aggregation.h"
 #include "core/parallel_campaign.h"
+#include "core/shard_executor.h"
 #include "util/task_pool.h"
 
 namespace vpna {
@@ -51,30 +53,34 @@ TEST(ParallelStress, SubmissionFromManyThreads) {
 }
 
 TEST(ParallelStress, RetryChurnUnderContention) {
-  // Flaky tasks interleaved with healthy ones: retry bookkeeping must stay
-  // consistent under contention.
-  util::TaskPool pool(6);
-  std::vector<std::future<int>> futures;
-  util::TaskOptions flaky_opts;
-  flaky_opts.max_attempts = 3;
-  for (int i = 0; i < 600; ++i) {
-    if (i % 3 == 0) {
-      auto tries = std::make_shared<std::atomic<int>>(0);
-      futures.push_back(pool.submit(
-          [tries, i]() -> int {
-            if (tries->fetch_add(1) == 0) throw std::runtime_error("flake");
-            return i;
-          },
-          flaky_opts));
-    } else {
-      futures.push_back(pool.submit([i] { return i; }));
-    }
+  // Flaky shards interleaved with healthy ones on the executor's pool
+  // backend: retry bookkeeping must stay consistent under contention.
+  constexpr std::size_t kShards = 600;
+  std::vector<int> values(kShards, -1);
+  std::vector<std::atomic<int>> tries(kShards);
+  core::ShardSet shards;
+  for (std::size_t i = 0; i < kShards; ++i)
+    shards.names.push_back("shard-" + std::to_string(i));
+  shards.run = [&](std::size_t i) {
+    if (i % 3 == 0 && tries[i].fetch_add(1) == 0)
+      throw std::runtime_error("flake");
+    values[i] = static_cast<int>(i);
+  };
+  shards.placeholder = [](std::size_t, core::ShardFate) {};
+  core::ExecutorOptions opts;
+  opts.jobs = 6;
+  const auto result = core::ShardExecutor(opts).run(shards);
+  for (std::size_t i = 0; i < kShards; ++i) {
+    EXPECT_EQ(values[i], static_cast<int>(i));
+    EXPECT_EQ(result.slots[i].fate, core::ShardFate::kDone);
   }
-  for (int i = 0; i < 600; ++i) EXPECT_EQ(futures[i].get(), i);
-  pool.wait_idle();
-  const auto total = pool.total_counters();
-  EXPECT_EQ(total.retries, 200u);  // every third task flaked exactly once
-  EXPECT_EQ(total.tasks_run, 800u);
+  std::uint64_t retries = 0, tasks_run = 0;
+  for (const auto& w : result.workers) {
+    retries += w.retries;
+    tasks_run += w.tasks_run;
+  }
+  EXPECT_EQ(retries, 200u);  // every third shard flaked exactly once
+  EXPECT_EQ(tasks_run, 800u);
 }
 
 TEST(ParallelStress, CampaignPayloadStableAcrossJobCountsAndRepeats) {

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <thread>
 
+#include "core/shard_executor.h"
 #include "obs/status.h"
 #include "util/task_pool.h"
 
@@ -222,27 +223,27 @@ TEST(WriteFileAtomic, FailsCleanlyOnUnwritablePath) {
   EXPECT_FALSE(write_file_atomic("/nonexistent-dir/status.json", "x"));
 }
 
-// The satellite contract: a timed-out pool task increments the per-worker
-// timeout counter, the future still carries the final failure, and the
-// counters surface through the status stream's JSON.
+// A shard whose every pool attempt overruns the executor's wall budget
+// shows up in the per-worker timeout counters, and the counters surface
+// through the status stream's JSON.
 TEST(StatusStream, PoolTimeoutCountersSurfaceInStatusJson) {
-  util::TaskPool pool(2);
-  util::TaskOptions opts;
-  opts.max_attempts = 2;
-  opts.timeout_s = 0.001;
-  auto fut = pool.submit(
-      [] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        return 1;
-      },
-      opts);
-  EXPECT_THROW(fut.get(), util::TaskTimeoutError);
-  pool.wait_idle();
+  core::ShardSet shards;
+  shards.names = {"only-shard"};
+  shards.run = [](std::size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  };
+  shards.placeholder = [](std::size_t, core::ShardFate) {};
+  core::ExecutorOptions opts;
+  opts.jobs = 2;
+  opts.shard_attempts = 2;
+  opts.shard_timeout_s = 0.001;
+  const auto result = core::ShardExecutor(opts).run(shards);
+  EXPECT_EQ(result.slots[0].fate, core::ShardFate::kFailed);
 
-  // Mirror the campaign monitor's mapping: pool counters → WorkerStatus.
+  // Mirror the campaign's mapping: executor rows → WorkerStatus.
   std::vector<WorkerStatus> workers;
   std::uint64_t timeouts = 0;
-  for (const auto& c : pool.counters()) {
+  for (const auto& c : result.workers) {
     WorkerStatus w;
     w.tasks_run = c.tasks_run;
     w.retries = c.retries;
@@ -253,12 +254,11 @@ TEST(StatusStream, PoolTimeoutCountersSurfaceInStatusJson) {
   EXPECT_EQ(timeouts, 2u);  // both attempts overran the budget
 
   StatusBoard board;
-  board.begin({"only-shard"}, pool.worker_count());
+  board.begin(shards.names, result.jobs);
   board.set_workers(std::move(workers));
   const auto json = render_status_json(board.snapshot());
-  // At least one worker row reports the timeouts.
-  EXPECT_TRUE(json.find("\"timeouts\": 1") != std::string::npos ||
-              json.find("\"timeouts\": 2") != std::string::npos);
+  // The worker row that ran the shard reports both timeouts.
+  EXPECT_NE(json.find("\"timeouts\": 2"), std::string::npos);
 }
 
 // Isolate-mode telemetry: per-worker-process rows pushed by the shard

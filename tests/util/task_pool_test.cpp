@@ -1,6 +1,7 @@
 // Work-stealing pool unit tests: result ordering, exception propagation,
-// retry and timeout policy, counters, and a small smoke-stress case (the
-// full many-small-tasks stress lives in the slow-labelled suite).
+// counters, and a small smoke-stress case (the full many-small-tasks
+// stress lives in the slow-labelled suite). Retries and budgets belong to
+// core::ShardExecutor and are tested there.
 #include "util/task_pool.h"
 
 #include <gtest/gtest.h>
@@ -55,69 +56,6 @@ TEST(TaskPool, ExceptionPropagatesThroughFuture) {
         }
       },
       std::runtime_error);
-}
-
-TEST(TaskPool, RetriesUntilAttemptSucceeds) {
-  TaskPool pool(2);
-  auto failures = std::make_shared<std::atomic<int>>(0);
-  TaskOptions opts;
-  opts.max_attempts = 3;
-  auto fut = pool.submit(
-      [failures]() -> int {
-        if (failures->fetch_add(1) < 2) throw std::runtime_error("flaky");
-        return 42;
-      },
-      opts);
-  EXPECT_EQ(fut.get(), 42);
-  EXPECT_EQ(failures->load(), 3);
-  pool.wait_idle();
-  const auto total = pool.total_counters();
-  EXPECT_EQ(total.tasks_run, 3u);  // attempts, retries included
-  EXPECT_EQ(total.retries, 2u);
-}
-
-TEST(TaskPool, ExhaustedRetriesSurfaceTheLastException) {
-  TaskPool pool(2);
-  TaskOptions opts;
-  opts.max_attempts = 3;
-  auto attempts = std::make_shared<std::atomic<int>>(0);
-  auto fut = pool.submit(
-      [attempts]() -> int {
-        attempts->fetch_add(1);
-        throw std::runtime_error("always fails");
-      },
-      opts);
-  EXPECT_THROW(fut.get(), std::runtime_error);
-  EXPECT_EQ(attempts->load(), 3);
-}
-
-TEST(TaskPool, TimeoutFailsTheTaskAfterAllAttempts) {
-  TaskPool pool(2);
-  TaskOptions opts;
-  opts.max_attempts = 2;
-  opts.timeout_s = 0.001;
-  auto fut = pool.submit(
-      [] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        return 1;
-      },
-      opts);
-  EXPECT_THROW(fut.get(), TaskTimeoutError);
-  pool.wait_idle();
-  const auto total = pool.total_counters();
-  EXPECT_EQ(total.timeouts, 2u);
-  EXPECT_EQ(total.retries, 1u);
-}
-
-TEST(TaskPool, GenerousTimeoutDoesNotFailFastTasks) {
-  TaskPool pool(2);
-  TaskOptions opts;
-  opts.max_attempts = 2;
-  opts.timeout_s = 30.0;
-  auto fut = pool.submit([] { return 5; }, opts);
-  EXPECT_EQ(fut.get(), 5);
-  pool.wait_idle();
-  EXPECT_EQ(pool.total_counters().timeouts, 0u);
 }
 
 TEST(TaskPool, CountersAccountForEveryTask) {
@@ -186,8 +124,8 @@ TEST(TaskPool, ConcurrentCounterSnapshotsAreConsistent) {
     const auto per_worker = pool.counters();
     EXPECT_EQ(per_worker.size(), pool.worker_count());
     const auto total = pool.total_counters();
-    // tasks_run only grows and never exceeds what was submitted (no
-    // retries/timeouts in this workload).
+    // tasks_run only grows and never exceeds what was submitted (the pool
+    // runs every task exactly once).
     EXPECT_LE(total.tasks_run, 500u);
     EXPECT_GE(total.busy_wall_s, 0.0);
     ++snapshots;
