@@ -57,24 +57,29 @@
 // the work. --cache ro consults without ever writing (shared store dirs);
 // --cache off ignores the store. --explain-cache prints one line per shard
 // with its content address and what the store did (hit/miss/corrupt/
-// bypass). Corrupt artifacts (truncation, bit flips, foreign writers) are
-// detected by checksum, recomputed, and — in rw mode — repaired in place;
-// they are never merged. run_manifest.json carries the same provenance in
-// its "cache" section. Traced runs (--trace/--metrics) bypass the cache.
+// bypass, for a shard that ended without a result). Corrupt artifacts
+// (truncation, bit flips, foreign writers) are detected by checksum,
+// recomputed, and — in rw mode — repaired in place; they are never merged.
+// run_manifest.json carries the same provenance in its "cache" section.
+// Traced runs (--trace/--metrics/--trace-hops) cache each shard's trace
+// with its report, under keys untraced runs never share, so a warm traced
+// re-run replays the trace and metrics byte for byte too.
 //
 // --trace writes a Chrome trace-event JSON of the whole campaign in
 // sim-time (load it in https://ui.perfetto.dev; one lane per provider
 // shard) and also enables the metrics registry; --metrics dumps the merged
 // metrics as text (canonical section first, scheduling telemetry below the
 // marker). --trace-hops additionally records a per-router instant for every
-// packet hop — detailed, and much larger output. Traced runs cannot
-// --isolate (a ShardTrace does not stream over the worker protocol).
+// packet hop — detailed, and much larger output. Trace and canonical
+// metrics are byte-identical at any --jobs, under --isolate, and with the
+// cache off, cold or warm.
 //
 // --isolate runs every shard in a supervised worker process (this binary
 // re-exec'd with the hidden --vpna-worker flag): a shard that segfaults,
 // is OOM-killed, or hangs is contained — retried on a fresh process, then
 // crash-quarantined while the rest of the campaign completes. Payloads are
-// byte-identical to in-process runs. Isolated runs also append a durable
+// byte-identical to in-process runs, and traced isolated runs stream each
+// shard's trace back with its report. Isolated runs also append a durable
 // campaign.journal in the output dir (one fdatasync'd line per finished
 // shard); after a crash or SIGKILL of the driver itself, re-running with
 // --resume replays every journaled shard whose artifact is still in the
@@ -124,6 +129,8 @@ int usage() {
                "[--subscribers M] [--eager] [--cache-dir DIR] "
                "[--cache off|rw|ro] [--explain-cache] [--isolate] "
                "[--resume] [--max-shard-retries N]\n"
+               "  --trace/--metrics/--trace-hops  trace every shard; combine "
+               "freely with --isolate and --cache-dir\n"
                "  --max-shard-retries N  re-runs per failed shard, in-process "
                "and isolated (default 2 = 3 attempts)\n");
   return 2;
@@ -390,17 +397,6 @@ int main(int argc, char** argv) {
   // this process derives matches the supervisor's byte for byte.
   if (worker_mode) return run_worker_base(opts, 20181031);
 
-  if (isolate && opts.trace.enabled) {
-    std::fprintf(stderr,
-                 "error: --isolate cannot run traced (--trace/--metrics/"
-                 "--trace-hops): a ShardTrace does not stream over the "
-                 "worker protocol\n");
-    return 2;
-  }
-  if (cache.enabled() && opts.trace.enabled)
-    std::fprintf(stderr,
-                 "note: traced runs bypass the artifact cache "
-                 "(a ShardTrace is not part of the cached artifact)\n");
   if (resume && !cache.enabled())
     std::fprintf(stderr,
                  "note: --resume without --cache-dir has no artifacts to "

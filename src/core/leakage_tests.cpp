@@ -18,7 +18,7 @@ int count_clear_on_eth0(const netsim::Host& client, std::size_t since_index,
     const auto& rec = records[i];
     if (rec.interface_name != "eth0") continue;
     if (rec.direction != netsim::Direction::kOut) continue;
-    if (rec.packet.payload.starts_with("TUN1|")) continue;  // encapsulated
+    if (netsim::is_tunnel_frame(rec.packet.payload)) continue;  // encapsulated
     if (pred(rec.packet)) ++n;
   }
   return n;

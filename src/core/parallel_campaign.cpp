@@ -106,6 +106,21 @@ store::ShardKey campaign_shard_key(const std::string& name, std::uint64_t seed,
   return key;
 }
 
+store::ShardKey campaign_shard_key(const std::string& name, std::uint64_t seed,
+                                   const RunnerOptions& options,
+                                   const obs::TraceConfig& trace) {
+  store::ShardKey key = campaign_shard_key(name, seed, options);
+  if (!trace.enabled) return key;
+  // A traced artifact is another format, and its trace content also
+  // depends on the trace options (hop instants on or off).
+  key.payload_format = kTracedShardFormatVersion;
+  key.runner_options_fingerprint = util::fnv1a(util::format(
+      "vpna-traced-options-v1\x1f%016llx\x1f%d\x1f",
+      static_cast<unsigned long long>(key.runner_options_fingerprint),
+      trace.packet_hops ? 1 : 0));
+  return key;
+}
+
 namespace {
 
 // Canonicalize to catalog order, dropping unknown names and duplicates.
@@ -127,8 +142,8 @@ std::vector<std::string> canonical_selection(
   return out;
 }
 
-// The provider campaign's shard set: slot i is reports[i] (and traces[i]
-// when traced). ParallelCampaign::run and the exec-mode worker build the
+// The provider campaign's shard set: slot i is reports[i], and traces[i]
+// when traced. ParallelCampaign::run and the exec-mode worker build the
 // same set from the same options. The set's callables point into this
 // object, so it stays where it was constructed.
 struct ProviderShards {
@@ -155,15 +170,21 @@ struct ProviderShards {
                                       plane);
       if (!traces.empty()) traces[i] = std::move(shard_trace);
     };
+    // A traced shard's bytes carry its trace, so traced shards cross the
+    // worker frame and the store exactly like untraced ones.
     set.encode = [this](std::size_t i) {
-      return encode_provider_report(reports[i]);
+      return traces.empty() ? encode_provider_report(reports[i])
+                            : encode_traced_shard(reports[i], traces[i]);
     };
     set.decode = [this](std::size_t i, std::string_view bytes) {
       ProviderReport decoded;
-      if (!decode_provider_report(bytes, &decoded) ||
-          decoded.provider != selection[i])
-        return false;
+      obs::ShardTrace decoded_trace;
+      const bool ok =
+          traces.empty() ? decode_provider_report(bytes, &decoded)
+                         : decode_traced_shard(bytes, &decoded, &decoded_trace);
+      if (!ok || decoded.provider != selection[i]) return false;
       reports[i] = std::move(decoded);
+      if (!traces.empty()) traces[i] = std::move(decoded_trace);
       return true;
     };
     set.placeholder = [this](std::size_t i, ShardFate fate) {
@@ -188,7 +209,7 @@ struct ProviderShards {
       traces[i].metrics.add(quarantined ? "shard.quarantined" : "shard.failed");
     };
     set.key = [this](std::size_t i) {
-      return campaign_shard_key(selection[i], seed, runner);
+      return campaign_shard_key(selection[i], seed, runner, trace);
     };
     return set;
   }
@@ -229,10 +250,6 @@ ParallelCampaign::ParallelCampaign(CampaignOptions options)
 
 CampaignReport ParallelCampaign::run(const std::vector<std::string>& names,
                                      std::uint64_t seed) {
-  if (options_.isolate && options_.trace.enabled)
-    throw std::invalid_argument(
-        "ParallelCampaign: --isolate cannot trace shards (a ShardTrace does "
-        "not stream over the worker frame protocol)");
   const auto t0 = std::chrono::steady_clock::now();
   ProviderShards shards(names, seed, options_);
 
@@ -248,7 +265,6 @@ CampaignReport ParallelCampaign::run(const std::vector<std::string>& names,
   exec.graceful = options_.runner.fault_profile != faults::FaultProfile::kOff;
   exec.status = options_.status;
   exec.cache = options_.cache;
-  exec.cache_bypass = options_.trace.enabled;
   exec.journal_path = options_.journal_path;
   exec.fingerprint = campaign_execution_fingerprint(shards.selection, seed,
                                                     options_.runner);

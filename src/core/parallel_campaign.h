@@ -43,7 +43,9 @@ struct CampaignOptions {
   // TraceRecorder + MetricsRegistry (bound to the shard's sim clock) and
   // the per-shard observations come back in CampaignReport::traces. Trace
   // content is part of the determinism contract: byte-identical exports at
-  // any `jobs` (unless trace.capture_wall opts into wall-clock data).
+  // any `jobs`, in-process or isolated, with the cache off, cold or warm.
+  // A traced shard's trace travels in the shard's bytes, so traced shards
+  // stream over worker frames and are cached like any other.
   obs::TraceConfig trace;
   // Health plane: live progress heartbeats, an optional --status-file JSON
   // rewritten atomically on every monitor tick, and a watchdog that flags
@@ -56,9 +58,9 @@ struct CampaignOptions {
   // and replays a cached report through the same canonical-order merge.
   // Sound because shards are pure: equal ShardKey implies a byte-identical
   // report, so the payload is invariant under cache mode (the cache
-  // identity test byte-compares payloads off/rw/ro, cold and warm).
-  // Traced runs bypass the cache — a ShardTrace is not part of the cached
-  // artifact, so a hit could not reproduce it.
+  // identity test byte-compares payloads off/rw/ro, cold and warm). A
+  // traced run caches report and trace together, under keys no untraced
+  // run shares.
   store::CacheConfig cache;
 
   // --- process isolation (`--isolate`) --------------------------------------
@@ -68,8 +70,7 @@ struct CampaignOptions {
   // a fresh process and, exhausted, quarantines while the campaign
   // completes. The payload stays byte-identical to the in-process engine
   // (same shard purity, same canonical merge; the isolate identity test
-  // byte-compares them). Incompatible with tracing (a ShardTrace cannot
-  // stream over the frame protocol): isolate + trace.enabled throws.
+  // byte-compares them), traced or not.
   bool isolate = false;
   // SIGTERM→SIGKILL grace for hang escalation and shutdown.
   double term_grace_s = 2.0;
@@ -110,7 +111,8 @@ struct CampaignReport {
   std::vector<std::string> degraded_providers;
   // Per-shard observations, aligned with `providers` (canonical catalog
   // order); empty when tracing is disabled. Deterministic payload: the
-  // trace-determinism suite byte-compares its exports across worker counts.
+  // trace-determinism suite byte-compares its exports across worker
+  // counts, backends and cache modes.
   std::vector<obs::ShardTrace> traces;
   std::vector<util::WorkerCounters> workers;
   // Watchdog records raised during the run (wall-clock telemetry like
@@ -175,6 +177,16 @@ struct CampaignReport {
 [[nodiscard]] store::ShardKey campaign_shard_key(const std::string& name,
                                                  std::uint64_t seed,
                                                  const RunnerOptions& options);
+
+// The key a campaign run with `trace` files the shard under. Untraced, the
+// key above; traced, the payload format is kTracedShardFormatVersion and
+// the options fingerprint also covers trace.packet_hops, so a traced
+// artifact never shares an address with an untraced one, nor a hop-traced
+// one with a hops-off one.
+[[nodiscard]] store::ShardKey campaign_shard_key(const std::string& name,
+                                                 std::uint64_t seed,
+                                                 const RunnerOptions& options,
+                                                 const obs::TraceConfig& trace);
 
 // --- scaled campaigns --------------------------------------------------------
 // The O(10³)-provider census path: every provider in a synthetic scaled

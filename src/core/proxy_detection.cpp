@@ -45,7 +45,7 @@ PcapScanResult run_pcap_scan(const netsim::Host& client) {
     if (rec.interface_name != "eth0") continue;
     const bool is_dns_query = rec.packet.proto == netsim::Proto::kUdp &&
                               rec.packet.dst_port == netsim::kPortDns &&
-                              !rec.packet.payload.starts_with("TUN1|");
+                              !netsim::is_tunnel_frame(rec.packet.payload);
     if (!is_dns_query) continue;
     if (rec.direction == netsim::Direction::kIn) {
       // A DNS *query* arriving at us (destination port 53 inbound): someone

@@ -1,9 +1,10 @@
 #include "core/report_codec.h"
 
-#include <cstring>
+#include <array>
 
 #include "core/parallel_campaign.h"
 #include "faults/profile.h"
+#include "util/byte_codec.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -11,153 +12,42 @@ namespace vpna::core {
 
 namespace {
 
-// ---- writer -----------------------------------------------------------------
+using Writer = util::ByteWriter;
+using Reader = util::ByteReader;
 
-class Writer {
- public:
-  explicit Writer(std::string& out) : out_(out) {}
+// ---- report-specific field helpers --------------------------------------------
 
-  void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void u16(std::uint16_t v) {
-    for (int i = 0; i < 2; ++i)
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i)
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i)
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-  // Two's-complement via u32/u64 so negative values round-trip exactly.
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void boolean(bool v) { u8(v ? 1 : 0); }
-  // Bit-exact: the payload must reproduce NaNs and signed zeros as the
-  // runner produced them, not as printf would render them.
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
-  }
-  void str(std::string_view s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    out_.append(s.data(), s.size());
-  }
-  void addr(const netsim::IpAddr& a) {
-    u8(static_cast<std::uint8_t>(a.family()));
-    for (auto b : a.bytes()) u8(b);
-  }
+void write_addr(Writer& w, const netsim::IpAddr& a) {
+  w.u8(static_cast<std::uint8_t>(a.family()));
+  for (auto b : a.bytes()) w.u8(b);
+}
 
- private:
-  std::string& out_;
-};
+bool read_addr(Reader& r, netsim::IpAddr* a) {
+  std::uint8_t family = 0;
+  if (!r.u8(&family) || family > 1) return false;
+  std::array<std::uint8_t, 16> raw{};
+  for (auto& b : raw)
+    if (!r.u8(&b)) return false;
+  if (family == static_cast<std::uint8_t>(netsim::IpFamily::kV6)) {
+    *a = netsim::IpAddr::v6(raw);
+  } else {
+    // v4 storage is the first 4 bytes; the rest must be zero in any
+    // artifact we wrote ourselves.
+    for (std::size_t i = 4; i < raw.size(); ++i)
+      if (raw[i] != 0) return false;
+    *a = netsim::IpAddr::v4(raw[0], raw[1], raw[2], raw[3]);
+  }
+  return true;
+}
 
-// ---- reader -----------------------------------------------------------------
-
-// Every accessor returns false on exhausted input and leaves the cursor
-// unspecified; callers chain with && so the first failure aborts decode.
-class Reader {
- public:
-  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
-
-  [[nodiscard]] bool done() const { return off_ == bytes_.size(); }
-
-  bool u8(std::uint8_t* v) {
-    if (bytes_.size() - off_ < 1) return false;
-    *v = static_cast<std::uint8_t>(bytes_[off_++]);
-    return true;
-  }
-  bool u16(std::uint16_t* v) {
-    if (bytes_.size() - off_ < 2) return false;
-    *v = 0;
-    for (int i = 1; i >= 0; --i)
-      *v = static_cast<std::uint16_t>((*v << 8) |
-                                      static_cast<std::uint8_t>(bytes_[off_ + i]));
-    off_ += 2;
-    return true;
-  }
-  bool u32(std::uint32_t* v) {
-    if (bytes_.size() - off_ < 4) return false;
-    *v = 0;
-    for (int i = 3; i >= 0; --i)
-      *v = (*v << 8) | static_cast<std::uint8_t>(bytes_[off_ + i]);
-    off_ += 4;
-    return true;
-  }
-  bool u64(std::uint64_t* v) {
-    if (bytes_.size() - off_ < 8) return false;
-    *v = 0;
-    for (int i = 7; i >= 0; --i)
-      *v = (*v << 8) | static_cast<std::uint8_t>(bytes_[off_ + i]);
-    off_ += 8;
-    return true;
-  }
-  bool i32(std::int32_t* v) {
-    std::uint32_t raw = 0;
-    if (!u32(&raw)) return false;
-    *v = static_cast<std::int32_t>(raw);
-    return true;
-  }
-  // Strict: only 0/1 are valid — a flipped bit in a bool is corruption,
-  // not a new truth value.
-  bool boolean(bool* v) {
-    std::uint8_t raw = 0;
-    if (!u8(&raw) || raw > 1) return false;
-    *v = raw == 1;
-    return true;
-  }
-  bool f64(double* v) {
-    std::uint64_t bits = 0;
-    if (!u64(&bits)) return false;
-    std::memcpy(v, &bits, sizeof *v);
-    return true;
-  }
-  bool str(std::string* s) {
-    std::uint32_t len = 0;
-    if (!u32(&len)) return false;
-    if (bytes_.size() - off_ < len) return false;
-    s->assign(bytes_.data() + off_, len);
-    off_ += len;
-    return true;
-  }
-  // Range-validated enum byte: `max` is the last valid enumerator value.
-  template <typename E>
-  bool enum8(E* e, std::uint8_t max) {
-    std::uint8_t raw = 0;
-    if (!u8(&raw) || raw > max) return false;
-    *e = static_cast<E>(raw);
-    return true;
-  }
-  bool addr(netsim::IpAddr* a) {
-    std::uint8_t family = 0;
-    if (!u8(&family) || family > 1) return false;
-    std::array<std::uint8_t, 16> raw{};
-    for (auto& b : raw)
-      if (!u8(&b)) return false;
-    if (family == static_cast<std::uint8_t>(netsim::IpFamily::kV6)) {
-      *a = netsim::IpAddr::v6(raw);
-    } else {
-      // v4 storage is the first 4 bytes; the rest must be zero in any
-      // artifact we wrote ourselves.
-      for (std::size_t i = 4; i < raw.size(); ++i)
-        if (raw[i] != 0) return false;
-      *a = netsim::IpAddr::v4(raw[0], raw[1], raw[2], raw[3]);
-    }
-    return true;
-  }
-  // Element-count guard for vectors: each element of any encoded type
-  // costs at least one byte, so a count beyond the remaining bytes can
-  // only be corruption — reject before reserving memory for it.
-  bool count(std::uint32_t* n) {
-    if (!u32(n)) return false;
-    return *n <= bytes_.size() - off_;
-  }
-
- private:
-  std::string_view bytes_;
-  std::size_t off_ = 0;
-};
+// Range-validated enum byte: `max` is the last valid enumerator value.
+template <typename E>
+bool read_enum8(Reader& r, E* e, std::uint8_t max) {
+  std::uint8_t raw = 0;
+  if (!r.u8(&raw) || raw > max) return false;
+  *e = static_cast<E>(raw);
+  return true;
+}
 
 // ---- field-by-field encode/decode pairs -------------------------------------
 // Kept adjacent per struct so a field added to one side without the other
@@ -170,10 +60,10 @@ void encode_error(Writer& w, const transport::Error& e) {
 }
 
 bool decode_error(Reader& r, transport::Error* e) {
-  return r.enum8(&e->kind,
-                 static_cast<std::uint8_t>(transport::ErrorKind::kRedirectLimit)) &&
-         r.enum8(&e->status,
-                 static_cast<std::uint8_t>(netsim::TransactStatus::kTtlExpired)) &&
+  return read_enum8(r, &e->kind,
+                       static_cast<std::uint8_t>(transport::ErrorKind::kRedirectLimit)) &&
+         read_enum8(r, &e->status,
+                       static_cast<std::uint8_t>(netsim::TransactStatus::kTtlExpired)) &&
          r.u16(&e->code);
 }
 
@@ -259,8 +149,8 @@ bool decode_dom_collection(Reader& r, DomCollectionResult* v) {
   v->pages.resize(n);
   for (auto& p : v->pages) {
     if (!(r.str(&p.hostname) && r.boolean(&p.load_ok) &&
-          r.enum8(&p.redirect,
-                  static_cast<std::uint8_t>(RedirectClass::kUnrelated)) &&
+          read_enum8(r, &p.redirect,
+                        static_cast<std::uint8_t>(RedirectClass::kUnrelated)) &&
           r.str(&p.final_host) && r.boolean(&p.dom_matches_groundtruth)))
       return false;
     std::uint32_t urls = 0;
@@ -307,7 +197,7 @@ void encode_recursive_origin(Writer& w, const RecursiveDnsOriginResult& v) {
   w.boolean(v.resolved);
   w.str(v.tag);
   w.boolean(v.resolver_seen.has_value());
-  if (v.resolver_seen) w.addr(*v.resolver_seen);
+  if (v.resolver_seen) write_addr(w, *v.resolver_seen);
   w.str(v.resolver_owner);
 }
 
@@ -317,7 +207,7 @@ bool decode_recursive_origin(Reader& r, RecursiveDnsOriginResult* v) {
   if (!r.boolean(&has)) return false;
   if (has) {
     netsim::IpAddr a;
-    if (!r.addr(&a)) return false;
+    if (!read_addr(r, &a)) return false;
     v->resolver_seen = a;
   } else {
     v->resolver_seen.reset();
@@ -329,7 +219,7 @@ void encode_pings(Writer& w, const PingProbeResult& v) {
   w.u32(static_cast<std::uint32_t>(v.targets.size()));
   for (const auto& t : v.targets) {
     w.str(t.name);
-    w.addr(t.addr);
+    write_addr(w, t.addr);
     w.boolean(t.rtt_ms.has_value());
     if (t.rtt_ms) w.f64(*t.rtt_ms);
   }
@@ -337,7 +227,7 @@ void encode_pings(Writer& w, const PingProbeResult& v) {
   for (const auto& h : v.root_traceroute) {
     w.i32(h.ttl);
     w.boolean(h.router.has_value());
-    if (h.router) w.addr(*h.router);
+    if (h.router) write_addr(w, *h.router);
     w.f64(h.rtt_ms);
   }
 }
@@ -347,7 +237,7 @@ bool decode_pings(Reader& r, PingProbeResult* v) {
   if (!r.count(&n)) return false;
   v->targets.resize(n);
   for (auto& t : v->targets) {
-    if (!(r.str(&t.name) && r.addr(&t.addr))) return false;
+    if (!(r.str(&t.name) && read_addr(r, &t.addr))) return false;
     bool has = false;
     if (!r.boolean(&has)) return false;
     if (has) {
@@ -366,7 +256,7 @@ bool decode_pings(Reader& r, PingProbeResult* v) {
     if (!r.boolean(&has)) return false;
     if (has) {
       netsim::IpAddr a;
-      if (!r.addr(&a)) return false;
+      if (!read_addr(r, &a)) return false;
       h.router = a;
     } else {
       h.router.reset();
@@ -444,8 +334,8 @@ bool decode_tunnel_failure(Reader& r, TunnelFailureResult* v) {
   return r.boolean(&v->failure_induced) && r.f64(&v->window_seconds) &&
          r.i32(&v->probes_sent) && r.i32(&v->probes_escaped_clear) &&
          r.i32(&v->probes_failed) && decode_error(r, &v->last_probe_error) &&
-         r.enum8(&v->final_state,
-                 static_cast<std::uint8_t>(vpn::ClientState::kTunnelFailedOpen));
+         read_enum8(r, &v->final_state,
+                       static_cast<std::uint8_t>(vpn::ClientState::kTunnelFailedOpen));
 }
 
 void encode_pcap(Writer& w, const PcapScanResult& v) {
@@ -499,7 +389,7 @@ void encode_vantage_point(Writer& w, const VantagePointReport& vp) {
   w.str(vp.vantage_id);
   w.str(vp.advertised_country);
   w.str(vp.advertised_city);
-  w.addr(vp.egress_addr);
+  write_addr(w, vp.egress_addr);
   w.boolean(vp.connected);
   encode_degradation(w, vp.degradation);
   encode_metadata(w, vp.metadata);
@@ -520,7 +410,7 @@ void encode_vantage_point(Writer& w, const VantagePointReport& vp) {
 bool decode_vantage_point(Reader& r, VantagePointReport* vp) {
   return r.str(&vp->provider) && r.str(&vp->vantage_id) &&
          r.str(&vp->advertised_country) && r.str(&vp->advertised_city) &&
-         r.addr(&vp->egress_addr) && r.boolean(&vp->connected) &&
+         read_addr(r, &vp->egress_addr) && r.boolean(&vp->connected) &&
          decode_degradation(r, &vp->degradation) &&
          decode_metadata(r, &vp->metadata) &&
          decode_dns_manipulation(r, &vp->dns_manipulation) &&
@@ -555,8 +445,8 @@ bool decode_provider_report(std::string_view bytes, ProviderReport* out) {
   std::uint32_t version = 0;
   if (!r.u32(&version) || version != kShardReportFormatVersion) return false;
   if (!r.str(&out->provider)) return false;
-  if (!r.enum8(&out->subscription,
-               static_cast<std::uint8_t>(vpn::SubscriptionType::kFree)))
+  if (!read_enum8(r, &out->subscription,
+                     static_cast<std::uint8_t>(vpn::SubscriptionType::kFree)))
     return false;
   if (!(r.boolean(&out->has_custom_client) && r.boolean(&out->quarantined)))
     return false;
@@ -569,6 +459,29 @@ bool decode_provider_report(std::string_view bytes, ProviderReport* out) {
   // damaged in a length-preserving way the checksum should have caught);
   // a strict format rejects them.
   return r.done();
+}
+
+std::string encode_traced_shard(const ProviderReport& report,
+                                const obs::ShardTrace& trace) {
+  std::string out;
+  Writer w(out);
+  w.u32(kTracedShardFormatVersion);
+  w.str(encode_provider_report(report));
+  w.str(obs::encode_shard_trace(trace));
+  return out;
+}
+
+bool decode_traced_shard(std::string_view bytes, ProviderReport* report,
+                         obs::ShardTrace* trace) {
+  Reader r(bytes);
+  std::uint32_t version = 0;
+  std::string_view report_bytes;
+  std::string_view trace_bytes;
+  return r.u32(&version) && version == kTracedShardFormatVersion &&
+         r.str(&report_bytes) && r.str(&trace_bytes) && r.done() &&
+         decode_provider_report(report_bytes, report) &&
+         obs::decode_shard_trace(trace_bytes, trace) &&
+         trace->shard == report->provider;
 }
 
 std::string encode_shard_census(const ScaledShardCensus& census) {

@@ -23,6 +23,7 @@
 #include <string_view>
 
 #include "core/runner.h"
+#include "obs/trace_codec.h"
 
 namespace vpna::core {
 
@@ -38,6 +39,24 @@ inline constexpr std::uint32_t kShardReportFormatVersion = 1;
 // (short buffer, bad enum, version mismatch, trailing bytes).
 [[nodiscard]] bool decode_provider_report(std::string_view bytes,
                                           ProviderReport* out);
+
+// --- traced shard codec ------------------------------------------------------
+// A traced provider shard's artifact: its report and its obs::ShardTrace,
+// each in its own strict encoding, behind one version word. The version
+// moves with either codec and never equals kShardReportFormatVersion, so
+// as a store::ShardKey::payload_format it keeps traced and untraced
+// artifacts at different addresses.
+
+inline constexpr std::uint32_t kTracedShardFormatVersion =
+    (obs::kShardTraceFormatVersion << 16) | kShardReportFormatVersion;
+
+[[nodiscard]] std::string encode_traced_shard(const ProviderReport& report,
+                                              const obs::ShardTrace& trace);
+// Strict inverse of encode_traced_shard; also false when the trace names
+// a different shard than the report.
+[[nodiscard]] bool decode_traced_shard(std::string_view bytes,
+                                       ProviderReport* report,
+                                       obs::ShardTrace* trace);
 
 // FNV-1a fingerprint over every RunnerOptions field that can change a
 // shard report's bytes (vantage-point budget, suite toggles, attempt

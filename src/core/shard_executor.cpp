@@ -183,9 +183,6 @@ class Execution {
 
  private:
   [[nodiscard]] bool cache_on() const { return !keys_.empty(); }
-  [[nodiscard]] bool store_on() const {
-    return cache_on() && !options_.cache_bypass;
-  }
 
   // Step 1: one content address per shard, derived up front (cheap, pure)
   // and only when a store will see it.
@@ -255,7 +252,7 @@ class Execution {
   // Step 3: every shard consults the store before any backend runs; a
   // decodable hit settles the shard without ever calling `run`.
   void consult_cache(const std::vector<char>& journaled) {
-    if (!store_on()) return;
+    if (!cache_on()) return;
     for (std::size_t i = 0; i < n_; ++i) {
       if (!fetch(i)) continue;
       if (!journaled.empty() && journaled[i] != 0)
@@ -308,7 +305,7 @@ class Execution {
     slot.attempts = attempts;
     slot.error = std::move(error);
     if (fate == ShardFate::kDone) {
-      if (store_on() && store_->config().writable()) {
+      if (cache_on() && store_->config().writable()) {
         obs::ProfileScope profile("campaign.cache");
         const std::string encoded = bytes == nullptr ? shards_.encode(i) : "";
         const std::string& artifact = bytes == nullptr ? encoded : *bytes;

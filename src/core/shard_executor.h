@@ -24,8 +24,10 @@
 // The campaign-specific half lives in a ShardSet. Results stay with the
 // caller: `run(i)` computes shard i into the caller's slot i, the codec
 // moves slot i to and from bytes, and `placeholder(i, fate)` fills slot i
-// for a shard that produced no result. In-process runs with the cache off
-// never touch the codec.
+// for a shard that produced no result. Whatever the slot holds (a traced
+// shard's trace included) must be in its bytes, because the process
+// backend and the store only ever see those. In-process runs with the
+// cache off never touch the codec.
 #pragma once
 
 #include <csignal>
@@ -46,7 +48,8 @@ namespace vpna::core {
 // before the run.
 struct ShardCacheRecord {
   enum class Outcome : std::uint8_t {
-    kBypass,   // cache not consulted (disabled, traced, or failed shard)
+    kBypass,   // shard ended without a result (failed, quarantined,
+               // crashed or skipped): nothing replayed or stored
     kHit,      // artifact fetched, decoded, and replayed — world never built
     kMiss,     // no artifact under this key; shard recomputed
     kCorrupt,  // artifact present but failed integrity/decode; recomputed
@@ -118,9 +121,6 @@ struct ExecutorOptions {
   bool graceful = false;
   obs::StatusOptions status;
   store::CacheConfig cache;
-  // Keys and records are kept but the store is neither read nor written
-  // (traced runs: a ShardTrace is not part of the cached artifact).
-  bool cache_bypass = false;
   // Durable journal (empty = none). `fingerprint` binds it to one
   // computation; `resume` replays its done shards from the store.
   std::string journal_path;

@@ -7,6 +7,7 @@
 #include <time.h>
 #include <unistd.h>
 
+#include "util/byte_codec.h"
 #include "util/rng.h"
 #include "util/subprocess.h"
 
@@ -17,44 +18,23 @@ namespace {
 constexpr std::size_t kHeaderSize = 4 + 4 + 4 + 1 + 8;  // through `length`
 constexpr std::size_t kTrailerSize = 8;                 // payload checksum
 // A frame never legitimately exceeds this (the largest provider report
-// encodes to a few hundred KiB); a longer length field means the stream
+// encodes to a few hundred KiB, a traced shard to a few MiB); a longer length field means the stream
 // is garbage, not a giant frame — poison instead of buffering gigabytes.
 constexpr std::uint64_t kMaxFramePayload = 1ull << 30;
-
-void put_u32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void put_u64(std::string* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-std::uint32_t get_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i)
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  return v;
-}
-
-std::uint64_t get_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i)
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  return v;
-}
 
 }  // namespace
 
 std::string encode_shard_frame(const ShardFrame& frame) {
   std::string out;
   out.reserve(kHeaderSize + frame.payload.size() + kTrailerSize);
-  put_u32(&out, kWorkerFrameMagic);
-  put_u32(&out, frame.index);
-  put_u32(&out, frame.attempt);
-  out.push_back(static_cast<char>(frame.status));
-  put_u64(&out, frame.payload.size());
-  out += frame.payload;
-  put_u64(&out, util::fnv1a(frame.payload));
+  util::ByteWriter w(out);
+  w.u32(kWorkerFrameMagic);
+  w.u32(frame.index);
+  w.u32(frame.attempt);
+  w.u8(static_cast<std::uint8_t>(frame.status));
+  w.u64(frame.payload.size());
+  w.raw(frame.payload);
+  w.u64(util::fnv1a(frame.payload));
   return out;
 }
 
@@ -64,31 +44,31 @@ void FrameReader::feed(std::string_view bytes) {
 
 FrameReader::Result FrameReader::next(ShardFrame* out) {
   if (corrupt_) return Result::kCorrupt;
-  if (buffer_.size() < kHeaderSize) return Result::kNeedMore;
-  const char* p = buffer_.data();
-  if (get_u32(p) != kWorkerFrameMagic) {
+  util::ByteReader r(buffer_);
+  std::uint32_t magic = 0, index = 0, attempt = 0;
+  std::uint8_t status_byte = 0;
+  std::uint64_t length = 0;
+  if (!(r.u32(&magic) && r.u32(&index) && r.u32(&attempt) &&
+        r.u8(&status_byte) && r.u64(&length)))
+    return Result::kNeedMore;
+  if (magic != kWorkerFrameMagic || status_byte > 1 ||
+      length > kMaxFramePayload) {
     corrupt_ = true;
     return Result::kCorrupt;
   }
-  const std::uint8_t status_byte = static_cast<unsigned char>(p[12]);
-  const std::uint64_t length = get_u64(p + 13);
-  if (status_byte > 1 || length > kMaxFramePayload) {
+  std::string_view payload;
+  std::uint64_t check = 0;
+  if (!(r.raw(static_cast<std::size_t>(length), &payload) && r.u64(&check)))
+    return Result::kNeedMore;
+  if (check != util::fnv1a(payload)) {
     corrupt_ = true;
     return Result::kCorrupt;
   }
-  const std::size_t total = kHeaderSize + length + kTrailerSize;
-  if (buffer_.size() < total) return Result::kNeedMore;
-  const std::string_view payload(p + kHeaderSize,
-                                 static_cast<std::size_t>(length));
-  if (get_u64(p + kHeaderSize + length) != util::fnv1a(payload)) {
-    corrupt_ = true;
-    return Result::kCorrupt;
-  }
-  out->index = get_u32(p + 4);
-  out->attempt = get_u32(p + 8);
+  out->index = index;
+  out->attempt = attempt;
   out->status = static_cast<ShardFrameStatus>(status_byte);
   out->payload.assign(payload);
-  buffer_.erase(0, total);
+  buffer_.erase(0, buffer_.size() - r.remaining());
   return Result::kFrame;
 }
 

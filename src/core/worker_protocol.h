@@ -11,7 +11,7 @@
 //   magic   u32  'VPNW' (little-endian 0x574e5056)
 //   index   u32  shard index echoed from the command
 //   attempt u32  attempt echoed from the command
-//   status  u8   0 = ok (payload = canonical report bytes)
+//   status  u8   0 = ok (payload = the shard set's encoding of the result)
 //                1 = error (payload = human-readable reason; the shard
 //                    threw inside the worker — contained, worker lives on)
 //   length  u64  payload byte count

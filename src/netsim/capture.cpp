@@ -35,7 +35,7 @@ std::string CaptureBuffer::dump(std::size_t max_lines) const {
       out += util::format("... %zu more record(s)\n", records_.size() - lines);
       break;
     }
-    const bool encapsulated = r.packet.payload.starts_with("TUN1|");
+    const bool encapsulated = is_tunnel_frame(r.packet.payload);
     out += util::format(
         "%9.3fs %-5s %-3s %s %s:%u -> %s:%u len=%zu%s\n",
         r.time.seconds(), r.interface_name.c_str(),

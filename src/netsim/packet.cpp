@@ -29,6 +29,16 @@ std::string Packet::summary() const {
                       ttl, payload.size());
 }
 
+namespace {
+
+constexpr std::string_view kTunnelTag = "TUN1|";
+
+}  // namespace
+
+bool is_tunnel_frame(std::string_view payload) noexcept {
+  return payload.starts_with(kTunnelTag);
+}
+
 std::string encode_inner(const Packet& inner) {
   // "TUN1|src|dst|proto|sport|dport|ttl|payload_len|payload"
   std::string head = util::format(
@@ -39,9 +49,9 @@ std::string encode_inner(const Packet& inner) {
 }
 
 std::optional<Packet> decode_inner(std::string_view payload) {
-  if (!util::starts_with(payload, "TUN1|")) return std::nullopt;
+  if (!is_tunnel_frame(payload)) return std::nullopt;
   // Split off the first 8 fields; the payload may itself contain '|'.
-  std::string_view rest = payload.substr(5);
+  std::string_view rest = payload.substr(kTunnelTag.size());
   std::array<std::string_view, 7> fields{};
   for (auto& f : fields) {
     const auto pos = rest.find('|');

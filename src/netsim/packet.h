@@ -43,6 +43,10 @@ struct Packet {
 // the ESP/OpenVPN framing a real tunnel would use.
 [[nodiscard]] std::string encode_inner(const Packet& inner);
 [[nodiscard]] std::optional<Packet> decode_inner(std::string_view payload);
+// True when `payload` carries an encode_inner() frame. A tag check only —
+// decode_inner() still validates the rest. Capture scans use it to tell
+// tunneled traffic from cleartext without knowing the format.
+[[nodiscard]] bool is_tunnel_frame(std::string_view payload) noexcept;
 
 // Well-known simulator port numbers.
 inline constexpr std::uint16_t kPortDns = 53;

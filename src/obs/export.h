@@ -29,7 +29,7 @@ struct ShardTrace {
 };
 
 // Chrome trace-event JSON ({"traceEvents": [...]}). ts/dur are virtual
-// microseconds; wall durations (when captured) ride along in args.
+// microseconds.
 [[nodiscard]] std::string chrome_trace_json(
     const std::vector<ShardTrace>& shards);
 

@@ -24,6 +24,11 @@
 #include <string_view>
 #include <vector>
 
+namespace vpna::util {
+class ByteWriter;
+class ByteReader;
+}  // namespace vpna::util
+
 namespace vpna::obs {
 
 // Marker separating deterministic metrics from scheduling telemetry in the
@@ -99,6 +104,10 @@ class MetricsRegistry {
   }
 
  private:
+  // The byte codec (obs/trace_codec.cpp) carries every field.
+  friend void encode_metrics(util::ByteWriter& w, const MetricsRegistry& m);
+  friend bool decode_metrics(util::ByteReader& r, MetricsRegistry* m);
+
   std::map<std::string, std::uint64_t, std::less<>> counters_;
   std::map<std::string, double, std::less<>> gauges_;
   std::map<std::string, HistogramData, std::less<>> histograms_;

@@ -1,7 +1,5 @@
 #include "obs/trace.h"
 
-#include <chrono>
-
 #include "util/strings.h"
 
 namespace vpna::obs {
@@ -10,16 +8,6 @@ namespace detail {
 thread_local TraceRecorder* t_tracer = nullptr;
 }  // namespace detail
 using detail::t_tracer;
-
-namespace {
-
-double wall_now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 TraceRecorder::TraceRecorder(TraceConfig config) : config_(config) {}
 
@@ -36,7 +24,6 @@ std::uint32_t TraceRecorder::begin_span(std::string_view name,
   ev.sim_dur_us = -1;  // open
   events_.push_back(std::move(ev));
   stack_.push_back(events_.back().id);
-  if (config_.capture_wall) wall_starts_.push_back(wall_now_ms());
   return events_.back().id;
 }
 
@@ -51,11 +38,6 @@ void TraceRecorder::end_span(std::uint32_t id) {
   // in practice, but tolerate out-of-order ends.
   for (std::size_t i = stack_.size(); i > 0; --i) {
     if (stack_[i - 1] != id) continue;
-    if (config_.capture_wall && i - 1 < wall_starts_.size()) {
-      ev.wall_dur_ms = wall_now_ms() - wall_starts_[i - 1];
-      wall_starts_.erase(wall_starts_.begin() +
-                         static_cast<std::ptrdiff_t>(i - 1));
-    }
     stack_.erase(stack_.begin() + static_cast<std::ptrdiff_t>(i - 1));
     break;
   }

@@ -2,7 +2,9 @@
 //
 // A TraceRecorder collects spans (RAII, nested) and point events,
 // timestamped in virtual microseconds from the util::SimClock it is bound
-// to, with an optional wall-clock dimension for real performance work.
+// to. Sim time is the only time axis: a trace is a pure function of the
+// shard that recorded it (wall time is obs::Profiler's job), which is what
+// lets a traced shard's trace be cached alongside its report.
 //
 // Determinism contract: a recorder is owned by exactly one unit of
 // deterministic work (a campaign shard) and is only ever touched by the
@@ -35,10 +37,6 @@ struct TraceConfig {
   // Off by default: hop instants multiply the event volume by the mean path
   // length and are only worth it when debugging routing/middlebox behaviour.
   bool packet_hops = false;
-  // Record wall-clock durations alongside sim time. Wall times vary run to
-  // run, so canonical exports omit them unless this is set — enabling it
-  // intentionally trades byte-identity for real timing data.
-  bool capture_wall = false;
 };
 
 struct TraceArg {
@@ -55,7 +53,6 @@ struct TraceEvent {
   std::string category;
   std::int64_t sim_ts_us = 0;
   std::int64_t sim_dur_us = 0;  // instants: 0; open spans: -1 until ended
-  double wall_dur_ms = -1.0;    // only when TraceConfig::capture_wall
   std::vector<TraceArg> args;
 };
 
@@ -89,8 +86,7 @@ class TraceRecorder {
   TraceConfig config_;
   const util::SimClock* clock_ = nullptr;
   std::vector<TraceEvent> events_;
-  std::vector<std::uint32_t> stack_;       // open span ids
-  std::vector<double> wall_starts_;        // parallel to stack_ (capture_wall)
+  std::vector<std::uint32_t> stack_;  // open span ids
 };
 
 namespace detail {

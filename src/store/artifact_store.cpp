@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include "util/byte_codec.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -30,30 +31,6 @@ namespace {
 // canonical key and reports corruption instead of serving foreign bytes.
 constexpr char kMagic[8] = {'V', 'P', 'N', 'A', 'S', 'T', 'O', '1'};
 constexpr std::uint32_t kArtifactHeaderVersion = 1;
-
-void append_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-[[nodiscard]] std::uint32_t read_u32(const char* p) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i)
-    v = (v << 8) | static_cast<std::uint8_t>(p[i]);
-  return v;
-}
-
-[[nodiscard]] std::uint64_t read_u64(const char* p) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i)
-    v = (v << 8) | static_cast<std::uint8_t>(p[i]);
-  return v;
-}
 
 [[nodiscard]] FetchResult corrupt(std::string detail) {
   FetchResult r;
@@ -163,33 +140,31 @@ FetchResult ArtifactStore::fetch(const ShardKey& key) const {
     return corrupt(std::move(detail));
   };
 
-  constexpr std::size_t kFixedHeader = sizeof kMagic + 4 + 4;
-  if (bytes.size() < kFixedHeader) return fail("truncated header");
-  if (std::string_view(bytes.data(), sizeof kMagic) !=
-      std::string_view(kMagic, sizeof kMagic))
-    return fail("bad magic");
-  const std::uint32_t header_version = read_u32(bytes.data() + sizeof kMagic);
+  util::ByteReader r(bytes);
+  std::string_view magic;
+  std::uint32_t header_version = 0;
+  std::uint32_t key_len = 0;
+  if (!(r.raw(sizeof kMagic, &magic) && r.u32(&header_version) &&
+        r.u32(&key_len)))
+    return fail("truncated header");
+  if (magic != std::string_view(kMagic, sizeof kMagic)) return fail("bad magic");
   if (header_version != kArtifactHeaderVersion)
     return fail(util::format("header version %u (want %u)", header_version,
                              kArtifactHeaderVersion));
-  const std::uint32_t key_len = read_u32(bytes.data() + sizeof kMagic + 4);
-  std::size_t off = kFixedHeader;
-  if (bytes.size() - off < key_len) return fail("truncated key echo");
-  const std::string_view key_echo(bytes.data() + off, key_len);
-  const std::string want_key = key.canonical();
-  if (key_echo != want_key) return fail("key echo mismatch (hash collision?)");
-  off += key_len;
-  if (bytes.size() - off < 16) return fail("truncated payload header");
-  const std::uint64_t payload_len = read_u64(bytes.data() + off);
-  const std::uint64_t checksum = read_u64(bytes.data() + off + 8);
-  off += 16;
-  if (bytes.size() - off != payload_len)
+  std::string_view key_echo;
+  if (!r.raw(key_len, &key_echo)) return fail("truncated key echo");
+  if (key_echo != key.canonical())
+    return fail("key echo mismatch (hash collision?)");
+  std::uint64_t payload_len = 0;
+  std::uint64_t checksum = 0;
+  if (!(r.u64(&payload_len) && r.u64(&checksum)))
+    return fail("truncated payload header");
+  std::string_view payload;
+  if (!r.raw(r.remaining(), &payload) || payload.size() != payload_len)
     return fail(util::format(
         "payload length mismatch (header %llu, file %llu)",
         static_cast<unsigned long long>(payload_len),
-        static_cast<unsigned long long>(bytes.size() - off)));
-  const std::string_view payload(bytes.data() + off,
-                                 static_cast<std::size_t>(payload_len));
+        static_cast<unsigned long long>(payload.size())));
   if (util::fnv1a(payload) != checksum) return fail("payload checksum mismatch");
 
   result.status = FetchStatus::kHit;
@@ -209,13 +184,14 @@ bool ArtifactStore::put(const ShardKey& key, std::string_view payload) const {
   std::string bytes;
   const std::string canon = key.canonical();
   bytes.reserve(sizeof kMagic + 24 + canon.size() + payload.size());
-  bytes.append(kMagic, sizeof kMagic);
-  append_u32(bytes, kArtifactHeaderVersion);
-  append_u32(bytes, static_cast<std::uint32_t>(canon.size()));
-  bytes += canon;
-  append_u64(bytes, payload.size());
-  append_u64(bytes, util::fnv1a(payload));
-  bytes.append(payload.data(), payload.size());
+  util::ByteWriter w(bytes);
+  w.raw(std::string_view(kMagic, sizeof kMagic));
+  w.u32(kArtifactHeaderVersion);
+  w.u32(static_cast<std::uint32_t>(canon.size()));
+  w.raw(canon);
+  w.u64(payload.size());
+  w.u64(util::fnv1a(payload));
+  w.raw(payload);
 
   // Unique temp name per writer — pid *and* a process-wide counter, so no
   // two writers ever share a temp file even across processes (forked

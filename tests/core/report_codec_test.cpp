@@ -1,9 +1,10 @@
-// Shard-report codec: randomized round-trip fuzzing (the cache soundness
-// contract — encode(decode(encode(r))) must be byte-identical to
-// encode(r) for arbitrary report contents, doubles bit-exact, optionals
-// and empty vectors included) plus strict-decode rejection of malformed
-// bytes. The whole suite runs under the ASan/UBSan CI lanes, so a decoder
-// overread on truncated or mutated input is a hard failure here.
+// Shard-report and shard-trace codecs: randomized round-trip fuzzing (the
+// cache soundness contract — encode(decode(encode(r))) must be
+// byte-identical to encode(r) for arbitrary report and trace contents,
+// doubles bit-exact, optionals and empty vectors included) plus
+// strict-decode rejection of malformed bytes. The whole suite runs under
+// the ASan/UBSan CI lanes, so a decoder overread on truncated or mutated
+// input is a hard failure here.
 #include "core/report_codec.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <string>
 
 #include "core/parallel_campaign.h"
+#include "obs/trace_codec.h"
 #include "util/rng.h"
 
 namespace vpna {
@@ -229,6 +231,67 @@ core::ProviderReport random_report(util::Rng& rng) {
   return r;
 }
 
+// A trace with teeth: nested spans (some left open), instants, args,
+// arbitrary timestamps, and a registry holding counters, special-valued
+// gauges, histograms and volatile marks, all built through the public API.
+obs::ShardTrace random_trace(util::Rng& rng) {
+  obs::TraceRecorder recorder(obs::TraceConfig{.enabled = true});
+  std::vector<std::uint32_t> open;
+  const auto events = rng.uniform_int(0, 24);
+  for (std::int64_t e = 0; e < events; ++e) {
+    switch (rng.uniform_int(0, 3)) {
+      case 0:
+      case 1:
+        open.push_back(recorder.begin_span(random_string(rng, 12),
+                                           random_string(rng, 8)));
+        break;
+      case 2: {
+        const auto id = recorder.add_instant(random_string(rng, 12),
+                                             random_string(rng, 8));
+        recorder.add_arg(id, random_string(rng, 6), random_string(rng, 10));
+        break;
+      }
+      default:
+        if (!open.empty()) {
+          recorder.end_span(open.back());
+          open.pop_back();
+        }
+    }
+    if (!open.empty() && random_bool(rng))
+      recorder.add_arg(open.back(), random_string(rng, 6),
+                       random_string(rng, 10));
+  }
+  obs::ShardTrace trace;
+  trace.shard = random_string(rng, 16);
+  trace.events = recorder.take_events();
+  for (auto& ev : trace.events) {
+    ev.sim_ts_us = rng.uniform_int(-1'000'000, 1'000'000'000);
+    if (ev.sim_dur_us > 0) ev.sim_dur_us = rng.uniform_int(0, 1'000'000);
+  }
+  // Specials a printf-style encoding would lose, in every trace.
+  trace.metrics.set_gauge("gauge.nan", std::numeric_limits<double>::quiet_NaN());
+  trace.metrics.set_gauge("gauge.negzero", -0.0);
+  const auto metrics = rng.uniform_int(0, 12);
+  for (std::int64_t m = 0; m < metrics; ++m) {
+    const std::string name = random_string(rng, 10);
+    switch (rng.uniform_int(0, 3)) {
+      case 0:
+        trace.metrics.add(name, rng.next());
+        break;
+      case 1:
+        trace.metrics.set_gauge(name, random_double(rng));
+        break;
+      case 2:
+        for (int o = 0; o < 3; ++o)
+          trace.metrics.observe(name, random_double(rng), obs::kRttBucketsMs);
+        break;
+      default:
+        trace.metrics.set_volatile(name);
+    }
+  }
+  return trace;
+}
+
 class ReportCodecFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ReportCodecFuzz, EncodeDecodeEncodeIsByteIdentical) {
@@ -246,6 +309,31 @@ TEST_P(ReportCodecFuzz, EncodeDecodeEncodeIsByteIdentical) {
   }
 }
 
+TEST_P(ReportCodecFuzz, TraceEncodeDecodeEncodeIsByteIdentical) {
+  util::Rng rng(GetParam() ^ 0x7ace);
+  for (int i = 0; i < 40; ++i) {
+    const auto trace = random_trace(rng);
+    const std::string first = obs::encode_shard_trace(trace);
+    obs::ShardTrace decoded;
+    ASSERT_TRUE(obs::decode_shard_trace(first, &decoded)) << "iteration " << i;
+    EXPECT_EQ(decoded.shard, trace.shard);
+    ASSERT_EQ(decoded.events.size(), trace.events.size());
+    EXPECT_EQ(decoded.metrics.render_text(), trace.metrics.render_text());
+    EXPECT_TRUE(std::isnan(*decoded.metrics.gauge("gauge.nan")));
+    EXPECT_TRUE(std::signbit(*decoded.metrics.gauge("gauge.negzero")));
+    ASSERT_EQ(obs::encode_shard_trace(decoded), first) << "iteration " << i;
+
+    // The traced shard artifact nests both codecs.
+    const auto report = random_report(rng);
+    decoded.shard = report.provider;
+    const std::string shard = core::encode_traced_shard(report, decoded);
+    core::ProviderReport report_out;
+    obs::ShardTrace trace_out;
+    ASSERT_TRUE(core::decode_traced_shard(shard, &report_out, &trace_out));
+    EXPECT_EQ(core::encode_traced_shard(report_out, trace_out), shard);
+  }
+}
+
 TEST_P(ReportCodecFuzz, TruncationAtEveryPrefixIsRejected) {
   util::Rng rng(GetParam() ^ 0x7717ull);
   const auto report = random_report(rng);
@@ -254,6 +342,19 @@ TEST_P(ReportCodecFuzz, TruncationAtEveryPrefixIsRejected) {
   for (std::size_t len = 0; len < valid.size(); ++len)
     EXPECT_FALSE(core::decode_provider_report(valid.substr(0, len), &out))
         << "prefix of " << len << " bytes decoded";
+
+  auto trace = random_trace(rng);
+  const std::string trace_bytes = obs::encode_shard_trace(trace);
+  obs::ShardTrace trace_out;
+  for (std::size_t len = 0; len < trace_bytes.size(); ++len)
+    EXPECT_FALSE(obs::decode_shard_trace(trace_bytes.substr(0, len), &trace_out))
+        << "trace prefix of " << len << " bytes decoded";
+  trace.shard = report.provider;
+  const std::string shard = core::encode_traced_shard(report, trace);
+  for (std::size_t len = 0; len < shard.size(); len += 7)
+    EXPECT_FALSE(core::decode_traced_shard(shard.substr(0, len), &out,
+                                           &trace_out))
+        << "traced shard prefix of " << len << " bytes decoded";
 }
 
 TEST_P(ReportCodecFuzz, TrailingBytesAreRejected) {
@@ -263,6 +364,16 @@ TEST_P(ReportCodecFuzz, TrailingBytesAreRejected) {
   bytes.push_back('\0');
   core::ProviderReport out;
   EXPECT_FALSE(core::decode_provider_report(bytes, &out));
+
+  auto trace = random_trace(rng);
+  std::string trace_bytes = obs::encode_shard_trace(trace);
+  trace_bytes.push_back('\0');
+  obs::ShardTrace trace_out;
+  EXPECT_FALSE(obs::decode_shard_trace(trace_bytes, &trace_out));
+  trace.shard = report.provider;
+  std::string shard = core::encode_traced_shard(report, trace);
+  shard.push_back('\0');
+  EXPECT_FALSE(core::decode_traced_shard(shard, &out, &trace_out));
 }
 
 TEST_P(ReportCodecFuzz, MutatedBytesNeverCrash) {
@@ -297,6 +408,21 @@ TEST_P(ReportCodecFuzz, MutatedBytesNeverCrash) {
   }
 }
 
+TEST_P(ReportCodecFuzz, MutatedTraceBytesNeverCrash) {
+  util::Rng rng(GetParam() ^ 0xbeefull);
+  const std::string valid = obs::encode_shard_trace(random_trace(rng));
+  for (int i = 0; i < 300; ++i) {
+    std::string bytes = valid;
+    const auto pos = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(bytes.size()) - 1));
+    bytes[pos] = static_cast<char>(rng.uniform_int(0, 255));
+    obs::ShardTrace out;
+    // Strictness: whatever still decodes re-encodes to the same bytes.
+    if (obs::decode_shard_trace(bytes, &out))
+      EXPECT_EQ(obs::encode_shard_trace(out), bytes);
+  }
+}
+
 TEST_P(ReportCodecFuzz, RandomGarbageNeverCrash) {
   util::Rng rng(GetParam() + 0xabcdull);
   for (int i = 0; i < 200; ++i) {
@@ -310,6 +436,9 @@ TEST_P(ReportCodecFuzz, RandomGarbageNeverCrash) {
     (void)core::decode_provider_report(garbage, &out);
     core::ScaledShardCensus census;
     (void)core::decode_shard_census(garbage, &census);
+    obs::ShardTrace trace;
+    (void)obs::decode_shard_trace(garbage, &trace);
+    (void)core::decode_traced_shard(garbage, &out, &trace);
   }
   SUCCEED();
 }
@@ -325,6 +454,53 @@ TEST(ReportCodec, VersionMismatchIsRejected) {
   bytes[0] = static_cast<char>(bytes[0] + 1);  // little-endian version word
   core::ProviderReport out;
   EXPECT_FALSE(core::decode_provider_report(bytes, &out));
+}
+
+TEST(ReportCodec, TraceVersionMismatchIsRejected) {
+  obs::ShardTrace trace;
+  trace.shard = "X";
+  std::string bytes = obs::encode_shard_trace(trace);
+  obs::ShardTrace out;
+  ASSERT_TRUE(obs::decode_shard_trace(bytes, &out));
+  bytes[0] = static_cast<char>(bytes[0] + 1);  // little-endian version word
+  EXPECT_FALSE(obs::decode_shard_trace(bytes, &out));
+
+  core::ProviderReport report;
+  report.provider = "X";
+  std::string shard = core::encode_traced_shard(report, trace);
+  core::ProviderReport report_out;
+  ASSERT_TRUE(core::decode_traced_shard(shard, &report_out, &out));
+  shard[0] = static_cast<char>(shard[0] + 1);
+  EXPECT_FALSE(core::decode_traced_shard(shard, &report_out, &out));
+  // An untraced artifact is not a traced one, nor the reverse.
+  EXPECT_FALSE(core::decode_traced_shard(core::encode_provider_report(report),
+                                         &report_out, &out));
+  EXPECT_FALSE(core::decode_provider_report(
+      core::encode_traced_shard(report, trace), &report_out));
+}
+
+TEST(ReportCodec, TraceRejectsBadPhaseByteAndForeignShardName) {
+  obs::ShardTrace trace;
+  trace.shard = "s";
+  obs::TraceEvent ev;
+  ev.id = 1;
+  ev.phase = 'i';
+  ev.name = "n";
+  trace.events = {ev};
+  std::string bytes = obs::encode_shard_trace(trace);
+  obs::ShardTrace out;
+  ASSERT_TRUE(obs::decode_shard_trace(bytes, &out));
+  // version u32, shard str (4 + 1), event count u32, id/parent/depth u32s.
+  const std::size_t phase_at = 4 + 5 + 4 + 12;
+  ASSERT_EQ(bytes[phase_at], 'i');
+  bytes[phase_at] = 'B';
+  EXPECT_FALSE(obs::decode_shard_trace(bytes, &out));
+
+  core::ProviderReport report;
+  report.provider = "not-s";
+  core::ProviderReport report_out;
+  EXPECT_FALSE(core::decode_traced_shard(
+      core::encode_traced_shard(report, trace), &report_out, &out));
 }
 
 TEST(ReportCodec, CensusRoundTripsAndRejectsMalformedBytes) {

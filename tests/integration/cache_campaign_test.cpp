@@ -14,6 +14,7 @@
 #include "analysis/report_aggregation.h"
 #include "analysis/report_writer.h"
 #include "core/parallel_campaign.h"
+#include "core/report_codec.h"
 #include "ecosystem/scale.h"
 #include "store/artifact_store.h"
 
@@ -176,16 +177,25 @@ TEST_F(CacheCampaignTest, ReadOnlyRecomputesPoisonWithoutRepairing) {
   EXPECT_EQ(core::summarize_cache(again.cache_records).corrupt, 1u);
 }
 
-TEST_F(CacheCampaignTest, TracedRunsBypassTheCache) {
-  auto opts = options(2, store::CacheMode::kReadWrite);
-  opts.trace.enabled = true;
-  const auto report = core::ParallelCampaign(opts).run(kSubset, kSeed);
-  const auto sum = core::summarize_cache(report.cache_records);
-  EXPECT_EQ(sum.bypassed, kSubset.size());
-  EXPECT_EQ(sum.hits + sum.misses + sum.corrupt, 0u);
-  EXPECT_EQ(sum.stored, 0u);
-  for (const auto& r : report.cache_records)
-    EXPECT_EQ(r.outcome, core::ShardCacheRecord::Outcome::kBypass);
+TEST(CacheKeys, TracedKeysNeverShareAnAddressWithUntracedOnes) {
+  const core::RunnerOptions runner;
+  obs::TraceConfig traced;
+  traced.enabled = true;
+  obs::TraceConfig hops = traced;
+  hops.packet_hops = true;
+  for (const auto& name : kSubset) {
+    const auto plain = core::campaign_shard_key(name, kSeed, runner);
+    // Tracing off, the trace-aware key is the plain key.
+    EXPECT_EQ(core::campaign_shard_key(name, kSeed, runner, obs::TraceConfig{}),
+              plain);
+    const auto with_trace = core::campaign_shard_key(name, kSeed, runner, traced);
+    const auto with_hops = core::campaign_shard_key(name, kSeed, runner, hops);
+    EXPECT_EQ(with_trace.payload_format, core::kTracedShardFormatVersion);
+    EXPECT_NE(with_trace.payload_format, plain.payload_format);
+    EXPECT_NE(with_trace.id(), plain.id());
+    EXPECT_NE(with_hops.id(), with_trace.id());
+    EXPECT_NE(with_hops.id(), plain.id());
+  }
 }
 
 TEST_F(CacheCampaignTest, ManifestRecordsCacheProvenance) {

@@ -135,13 +135,6 @@ TEST(IsolateCampaign, HangingWorkerIsEscalatedAndQuarantined) {
   EXPECT_EQ(healthy, kSubset.size() - 1);
 }
 
-TEST(IsolateCampaign, IsolateRefusesTracedRuns) {
-  auto opts = subset_options(2, true);
-  opts.trace.enabled = true;
-  core::ParallelCampaign campaign(opts);
-  EXPECT_THROW((void)campaign.run(kSubset), std::invalid_argument);
-}
-
 TEST(IsolateCampaign, InterruptFlagStopsTheRunWithExitCode130) {
   static volatile std::sig_atomic_t interrupted = 1;  // pre-raised
   auto opts = subset_options(2, true);

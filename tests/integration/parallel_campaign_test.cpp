@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "analysis/report_aggregation.h"
 #include "ecosystem/testbed.h"
+#include "obs/export.h"
 #include "store/code_epoch.h"
 #include "util/rng.h"
 
@@ -64,6 +66,24 @@ TEST(ParallelCampaign, DefaultCampaignMatchesGoldenFingerprint) {
   EXPECT_EQ(std::make_pair(store::kCodeEpoch, fingerprint),
             std::make_pair(std::uint32_t{1},
                            std::uint64_t{0xb18430c525c24657ULL}));
+}
+
+// The golden trace pin: trace content is cached payload too, so a change
+// that moves either export hash must also bump store::kCodeEpoch (a traced
+// artifact written by older code would otherwise replay a stale trace) and
+// re-pin it here.
+TEST(ParallelCampaign, TracedSubsetMatchesGoldenTracePin) {
+  auto opts = subset_options(4);
+  opts.trace.enabled = true;
+  const auto report = core::ParallelCampaign(opts).run(kSubset, 20181031);
+  ASSERT_EQ(report.traces.size(), kSubset.size());
+  const auto trace = util::fnv1a(obs::chrome_trace_json(report.traces));
+  const auto metrics = util::fnv1a(
+      obs::merged_metrics(report.traces).render_text(/*include_volatile=*/false));
+  EXPECT_EQ(std::make_tuple(store::kCodeEpoch, trace, metrics),
+            std::make_tuple(std::uint32_t{1},
+                            std::uint64_t{0xca54021e7c0a3089ULL},
+                            std::uint64_t{0xf272724f0b503485ULL}));
 }
 
 TEST(ParallelCampaign, CallerNameOrderDoesNotMatter) {

@@ -73,6 +73,9 @@ TEST(TunnelEncoding, NestedEncapsulation) {
 TEST(TunnelEncoding, RejectsGarbage) {
   EXPECT_FALSE(decode_inner(""));
   EXPECT_FALSE(decode_inner("not a tunnel frame"));
+  EXPECT_FALSE(is_tunnel_frame("not a tunnel frame"));
+  EXPECT_FALSE(is_tunnel_frame(sample_packet().payload));
+  EXPECT_TRUE(is_tunnel_frame(encode_inner(sample_packet())));
   EXPECT_FALSE(decode_inner("TUN1|only|three|fields"));
   // Truncated payload (length field larger than remaining bytes).
   auto enc = encode_inner(sample_packet());

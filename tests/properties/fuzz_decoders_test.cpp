@@ -4,10 +4,12 @@
 // encodings (the harder case: almost-valid frames).
 #include <gtest/gtest.h>
 
+#include "core/report_codec.h"
 #include "dns/message.h"
 #include "http/message.h"
 #include "http/url.h"
 #include "netsim/packet.h"
+#include "obs/trace_codec.h"
 #include "tlssim/cert.h"
 #include "tlssim/handshake.h"
 #include "util/rng.h"
@@ -64,6 +66,10 @@ class FuzzDecoders : public ::testing::TestWithParam<std::uint64_t> {
     (void)tlssim::decode_client_hello(input);
     (void)tlssim::decode_server_hello(input);
     (void)vpn::OvpnConfig::parse(input);
+    obs::ShardTrace trace;
+    (void)obs::decode_shard_trace(input, &trace);
+    core::ProviderReport report;
+    (void)core::decode_traced_shard(input, &report, &trace);
     SUCCEED();
   }
 };
@@ -102,12 +108,28 @@ TEST_P(FuzzDecoders, MutatedValidFramesNeverCrash) {
   config.dhcp_dns = {netsim::IpAddr::v4(10, 8, 0, 1)};
   const std::string ovpn_text = config.serialize();
 
+  obs::ShardTrace trace;
+  trace.shard = "NordVPN";
+  obs::TraceEvent span;
+  span.id = 1;
+  span.name = "shard.run";
+  span.category = "campaign";
+  span.sim_dur_us = 1500;
+  span.args = {{"provider", "NordVPN"}};
+  trace.events = {span};
+  trace.metrics.add("net.transact.ok", 3);
+  trace.metrics.set_gauge("queue.depth", -0.0);
+  trace.metrics.observe("net.rtt_ms", 12.5, obs::kRttBucketsMs);
+  trace.metrics.set_volatile("net.rtt_ms");
+  const std::string trace_frame = obs::encode_shard_trace(trace);
+
   for (int i = 0; i < 100; ++i) {
     feed(mutate(rng, tunnel_frame));
     feed(mutate(rng, dns_frame));
     feed(mutate(rng, http_frame));
     feed(mutate(rng, cert_frame));
     feed(mutate(rng, ovpn_text));
+    feed(mutate(rng, trace_frame));
   }
 }
 

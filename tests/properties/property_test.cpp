@@ -107,7 +107,7 @@ TEST_P(ProviderInvariants, ConnectLeakProfileAndRestore) {
   for (const auto& rec : client_host.capture().on_interface("eth0")) {
     if (rec.direction == netsim::Direction::kOut &&
         rec.packet.dst_port == netsim::kPortDns &&
-        !rec.packet.payload.starts_with("TUN1|"))
+        !netsim::is_tunnel_frame(rec.packet.payload))
       ++clear_dns;
   }
   if (provider->spec.behavior.redirects_dns) {

@@ -31,7 +31,7 @@ class LeakFixture : public ::testing::Test {
       if (rec.direction == netsim::Direction::kOut &&
           rec.packet.proto == netsim::Proto::kUdp &&
           rec.packet.dst_port == netsim::kPortDns &&
-          !rec.packet.payload.starts_with("TUN1|"))
+          !netsim::is_tunnel_frame(rec.packet.payload))
         ++n;
     }
     return n;
@@ -40,8 +40,8 @@ class LeakFixture : public ::testing::Test {
   int v6_packets_on_eth0() {
     int n = 0;
     for (const auto& rec : client_host_.capture().on_interface("eth0")) {
-      if (rec.direction == netsim::Direction::kOut &&
-          rec.packet.dst.is_v6() && !rec.packet.payload.starts_with("TUN1|"))
+      if (rec.direction == netsim::Direction::kOut && rec.packet.dst.is_v6() &&
+          !netsim::is_tunnel_frame(rec.packet.payload))
         ++n;
     }
     return n;

@@ -83,7 +83,7 @@ TEST_F(TunnelFixture, DnsPacketsRideTheTunnelNotEth0) {
     if (rec.interface_name == "eth0" && is_dns) ++dns_on_eth0;
     if (rec.interface_name == "tun0" && is_dns) ++dns_on_tun0;
     if (rec.interface_name == "eth0" &&
-        rec.packet.payload.starts_with("TUN1|"))
+        netsim::is_tunnel_frame(rec.packet.payload))
       ++tunnel_frames_on_eth0;
   }
   EXPECT_EQ(dns_on_eth0, 0);
