@@ -14,6 +14,105 @@
 
 namespace vpna::analysis {
 
+namespace {
+
+// The execution and cache fields every manifest shares: the options the
+// executor ran under, and the record it returned.
+void fill_execution(RunManifest& m, const core::ExecutionOptions& options,
+                    const core::ExecutionRecord& record,
+                    std::vector<std::string> crashed,
+                    std::uint64_t options_fingerprint) {
+  // The budget every backend grants (the executor clamps it to >= 1).
+  m.shard_attempts = std::max(1, options.shard_attempts);
+  m.execution = record;
+  m.journal_path = options.journal_path;
+  m.resumed = options.resume;
+  m.crash_quarantined_providers = std::move(crashed);
+  m.cache_mode = std::string(store::cache_mode_name(options.cache.mode));
+  m.cache_dir = options.cache.dir;
+  m.code_epoch = store::kCodeEpoch;
+  m.runner_options_fp = options_fingerprint;
+  m.cache = core::summarize_cache(record.cache_records);
+}
+
+void render_string_list(std::string& out,
+                        const std::vector<std::string>& items) {
+  out += "[";
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    out += i == 0 ? "" : ", ";
+    out += util::format("\"%s\"", obs::json_escape(items[i]).c_str());
+  }
+  out += "]";
+}
+
+// The "execution" and "cache" sections, shared by run_manifest.json and
+// scale_manifest.json; each ends its object with "}" and no separator.
+void render_execution_and_cache(std::string& out, const RunManifest& m) {
+  const core::ExecutionRecord& x = m.execution;
+  out += "  \"execution\": {\n";
+  out += util::format("    \"mode\": \"%s\",\n",
+                      x.execution_isolated ? "isolated" : "in-process");
+  out += util::format("    \"journal\": \"%s\",\n",
+                      obs::json_escape(m.journal_path).c_str());
+  out += util::format("    \"resumed\": %s,\n", m.resumed ? "true" : "false");
+  out += util::format("    \"interrupted\": %s,\n",
+                      x.interrupted ? "true" : "false");
+  out += util::format("    \"resumed_shards\": %zu,\n", x.resumed_shards);
+  out += "    \"crash_quarantined\": ";
+  render_string_list(out, m.crash_quarantined_providers);
+  out += ",\n";
+  out += util::format("    \"process_spawns\": %zu,\n", x.process_spawns);
+  out += util::format("    \"process_crashes\": %zu,\n", x.process_crashes);
+  out += util::format("    \"process_kills\": %zu,\n", x.process_kills);
+  out += util::format("    \"process_timeouts\": %zu,\n", x.process_timeouts);
+  out += "    \"processes\": [";
+  for (std::size_t i = 0; i < x.processes.size(); ++i) {
+    const auto& p = x.processes[i];
+    out += i == 0 ? "\n" : ",\n";
+    out += util::format(
+        "      {\"slot\": %d, \"spawns\": %zu, \"shards_done\": %zu, "
+        "\"crashes\": %zu}",
+        p.slot, p.spawns, p.shards_done, p.crashes);
+  }
+  out += x.processes.empty() ? "]\n" : "\n    ]\n";
+  out += "  },\n";
+
+  out += "  \"cache\": {\n";
+  out += util::format("    \"mode\": \"%s\",\n",
+                      obs::json_escape(m.cache_mode).c_str());
+  out += util::format("    \"dir\": \"%s\",\n",
+                      obs::json_escape(m.cache_dir).c_str());
+  out += util::format("    \"code_epoch\": %u,\n", m.code_epoch);
+  out += util::format("    \"runner_options_fingerprint\": \"%016llx\",\n",
+                      static_cast<unsigned long long>(m.runner_options_fp));
+  out += util::format("    \"shards\": %zu,\n", m.cache.shards);
+  out += util::format("    \"hits\": %zu,\n", m.cache.hits);
+  out += util::format("    \"misses\": %zu,\n", m.cache.misses);
+  out += util::format("    \"corrupt\": %zu,\n", m.cache.corrupt);
+  out += util::format("    \"bypassed\": %zu,\n", m.cache.bypassed);
+  out += util::format("    \"stored\": %zu,\n", m.cache.stored);
+  out += util::format("    \"bytes_read\": %llu,\n",
+                      static_cast<unsigned long long>(m.cache.bytes_read));
+  out += util::format("    \"bytes_written\": %llu,\n",
+                      static_cast<unsigned long long>(m.cache.bytes_written));
+  out += "    \"shard_cache\": [";
+  for (std::size_t i = 0; i < x.cache_records.size(); ++i) {
+    const auto& r = x.cache_records[i];
+    out += i == 0 ? "\n" : ",\n";
+    out += util::format(
+        "      {\"provider\": \"%s\", \"key\": \"%s\", \"outcome\": \"%s\", "
+        "\"stored\": %s, \"bytes\": %llu}",
+        obs::json_escape(r.provider).c_str(),
+        obs::json_escape(r.key_id).c_str(),
+        std::string(core::cache_outcome_name(r.outcome)).c_str(),
+        r.stored ? "true" : "false", static_cast<unsigned long long>(r.bytes));
+  }
+  out += x.cache_records.empty() ? "]\n" : "\n    ]\n";
+  out += "  }";
+}
+
+}  // namespace
+
 RunManifest build_run_manifest(const core::CampaignOptions& options,
                                const core::CampaignReport& report,
                                std::string_view payload) {
@@ -30,38 +129,9 @@ RunManifest build_run_manifest(const core::CampaignOptions& options,
   m.link_capacities = options.runner.speed_test;
   m.payload_fingerprint = util::fnv1a(payload);
 
-  m.jobs = report.jobs;
-  // The budget every backend grants (the executor clamps it to >= 1).
-  m.shard_attempts = std::max(1, options.shard_attempts);
   m.trace_enabled = options.trace.enabled;
-
-  m.execution_mode = report.execution_isolated ? "isolated" : "in-process";
-  m.journal_path = options.journal_path;
-  m.resumed = options.resume;
-  m.interrupted = report.interrupted;
-  m.resumed_shards = report.resumed_shards;
-  m.crash_quarantined_providers = report.crash_quarantined_providers;
-  m.process_spawns = report.process_spawns;
-  m.process_crashes = report.process_crashes;
-  m.process_kills = report.process_kills;
-  m.process_timeouts = report.process_timeouts;
-  m.processes = report.processes;
-
-  m.cache_mode = std::string(store::cache_mode_name(options.cache.mode));
-  m.cache_dir = options.cache.dir;
-  m.code_epoch = store::kCodeEpoch;
-  m.runner_options_fp = core::runner_options_fingerprint(options.runner);
-  m.cache = core::summarize_cache(report.cache_records);
-  m.shard_cache.reserve(report.cache_records.size());
-  for (const auto& r : report.cache_records) {
-    RunManifest::ShardCacheEntry e;
-    e.provider = r.provider;
-    e.key = r.key_id;
-    e.outcome = std::string(core::cache_outcome_name(r.outcome));
-    e.stored = r.stored;
-    e.bytes = r.bytes;
-    m.shard_cache.push_back(std::move(e));
-  }
+  fill_execution(m, options, report, report.crash_quarantined_providers,
+                 core::runner_options_fingerprint(options.runner));
 
 #ifdef __VERSION__
   m.compiler = __VERSION__;
@@ -85,7 +155,6 @@ RunManifest build_run_manifest(const core::CampaignOptions& options,
   m.quarantined_shards = engine.quarantined_shards;
   m.degraded_vantage_points = engine.degraded_vantage_points;
   m.degraded_providers = report.degraded_providers;
-  m.watchdog_alerts = report.watchdog_alerts;
   return m;
 }
 
@@ -113,75 +182,13 @@ std::string render_manifest_json(const RunManifest& m) {
   out += "  },\n";
 
   out += "  \"run\": {\n";
-  out += util::format("    \"jobs\": %zu,\n", m.jobs);
+  out += util::format("    \"jobs\": %zu,\n", m.execution.jobs);
   out += util::format("    \"shard_attempts\": %d,\n", m.shard_attempts);
   out += util::format("    \"trace_enabled\": %s\n",
                       m.trace_enabled ? "true" : "false");
   out += "  },\n";
-
-  out += "  \"execution\": {\n";
-  out += util::format("    \"mode\": \"%s\",\n",
-                      obs::json_escape(m.execution_mode).c_str());
-  out += util::format("    \"journal\": \"%s\",\n",
-                      obs::json_escape(m.journal_path).c_str());
-  out += util::format("    \"resumed\": %s,\n", m.resumed ? "true" : "false");
-  out += util::format("    \"interrupted\": %s,\n",
-                      m.interrupted ? "true" : "false");
-  out += util::format("    \"resumed_shards\": %zu,\n", m.resumed_shards);
-  out += "    \"crash_quarantined\": [";
-  for (std::size_t i = 0; i < m.crash_quarantined_providers.size(); ++i) {
-    out += i == 0 ? "" : ", ";
-    out += util::format(
-        "\"%s\"", obs::json_escape(m.crash_quarantined_providers[i]).c_str());
-  }
-  out += "],\n";
-  out += util::format("    \"process_spawns\": %zu,\n", m.process_spawns);
-  out += util::format("    \"process_crashes\": %zu,\n", m.process_crashes);
-  out += util::format("    \"process_kills\": %zu,\n", m.process_kills);
-  out += util::format("    \"process_timeouts\": %zu,\n", m.process_timeouts);
-  out += "    \"processes\": [";
-  for (std::size_t i = 0; i < m.processes.size(); ++i) {
-    const auto& p = m.processes[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += util::format(
-        "      {\"slot\": %d, \"spawns\": %zu, \"shards_done\": %zu, "
-        "\"crashes\": %zu}",
-        p.slot, p.spawns, p.shards_done, p.crashes);
-  }
-  out += m.processes.empty() ? "]\n" : "\n    ]\n";
-  out += "  },\n";
-
-  out += "  \"cache\": {\n";
-  out += util::format("    \"mode\": \"%s\",\n",
-                      obs::json_escape(m.cache_mode).c_str());
-  out += util::format("    \"dir\": \"%s\",\n",
-                      obs::json_escape(m.cache_dir).c_str());
-  out += util::format("    \"code_epoch\": %u,\n", m.code_epoch);
-  out += util::format("    \"runner_options_fingerprint\": \"%016llx\",\n",
-                      static_cast<unsigned long long>(m.runner_options_fp));
-  out += util::format("    \"shards\": %zu,\n", m.cache.shards);
-  out += util::format("    \"hits\": %zu,\n", m.cache.hits);
-  out += util::format("    \"misses\": %zu,\n", m.cache.misses);
-  out += util::format("    \"corrupt\": %zu,\n", m.cache.corrupt);
-  out += util::format("    \"bypassed\": %zu,\n", m.cache.bypassed);
-  out += util::format("    \"stored\": %zu,\n", m.cache.stored);
-  out += util::format("    \"bytes_read\": %llu,\n",
-                      static_cast<unsigned long long>(m.cache.bytes_read));
-  out += util::format("    \"bytes_written\": %llu,\n",
-                      static_cast<unsigned long long>(m.cache.bytes_written));
-  out += "    \"shard_cache\": [";
-  for (std::size_t i = 0; i < m.shard_cache.size(); ++i) {
-    const auto& e = m.shard_cache[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += util::format(
-        "      {\"provider\": \"%s\", \"key\": \"%s\", \"outcome\": \"%s\", "
-        "\"stored\": %s, \"bytes\": %llu}",
-        obs::json_escape(e.provider).c_str(), obs::json_escape(e.key).c_str(),
-        obs::json_escape(e.outcome).c_str(), e.stored ? "true" : "false",
-        static_cast<unsigned long long>(e.bytes));
-  }
-  out += m.shard_cache.empty() ? "]\n" : "\n    ]\n";
-  out += "  },\n";
+  render_execution_and_cache(out, m);
+  out += ",\n";
 
   out += "  \"build\": {\n";
   out += util::format("    \"compiler\": \"%s\",\n",
@@ -205,16 +212,13 @@ std::string render_manifest_json(const RunManifest& m) {
                       m.quarantined_shards);
   out += util::format("    \"degraded_vantage_points\": %zu,\n",
                       m.degraded_vantage_points);
-  out += "    \"degraded_providers\": [";
-  for (std::size_t i = 0; i < m.degraded_providers.size(); ++i) {
-    out += i == 0 ? "" : ", ";
-    out += util::format("\"%s\"",
-                        obs::json_escape(m.degraded_providers[i]).c_str());
-  }
-  out += "],\n";
+  out += "    \"degraded_providers\": ";
+  render_string_list(out, m.degraded_providers);
+  out += ",\n";
+  const auto& alerts = m.execution.watchdog_alerts;
   out += "    \"watchdog\": [";
-  for (std::size_t i = 0; i < m.watchdog_alerts.size(); ++i) {
-    const auto& alert = m.watchdog_alerts[i];
+  for (std::size_t i = 0; i < alerts.size(); ++i) {
+    const auto& alert = alerts[i];
     out += i == 0 ? "\n" : ",\n";
     out += util::format(
         "      {\"shard\": \"%s\", \"worker\": %d, \"elapsed_s\": %.3f, "
@@ -222,7 +226,7 @@ std::string render_manifest_json(const RunManifest& m) {
         obs::json_escape(alert.shard).c_str(), alert.worker, alert.elapsed_s,
         alert.median_s, alert.ratio());
   }
-  out += m.watchdog_alerts.empty() ? "]\n" : "\n    ]\n";
+  out += alerts.empty() ? "]\n" : "\n    ]\n";
   out += "  }\n";
   out += "}\n";
   return out;
@@ -231,60 +235,28 @@ std::string render_manifest_json(const RunManifest& m) {
 std::string render_scaled_manifest_json(
     const core::ScaledCampaignReport& report,
     const core::ScaledCampaignOptions& options) {
-  const auto cache = core::summarize_cache(report.cache_records);
+  RunManifest m;
+  fill_execution(m, options, report, report.crashed_providers,
+                 core::scaled_options_fingerprint());
   std::string out = "{\n";
   out += "  \"key\": {\n";
   out += util::format("    \"catalog_fingerprint\": \"%016llx\",\n",
                       static_cast<unsigned long long>(report.catalog_fingerprint));
   out += util::format("    \"campaign_seed\": %llu,\n",
                       static_cast<unsigned long long>(report.seed));
-  out += util::format("    \"max_clients\": %u,\n", options.max_clients);
+  out += util::format("    \"max_clients\": %u,\n",
+                      ecosystem::ScaledShardOptions{}.max_clients);
   out += util::format("    \"payload_fingerprint\": \"%016llx\"\n",
                       static_cast<unsigned long long>(report.payload_fingerprint));
   out += "  },\n";
   out += "  \"run\": {\n";
   out += util::format("    \"jobs\": %zu,\n", report.jobs);
+  out += util::format("    \"shard_attempts\": %d,\n", m.shard_attempts);
   out += util::format("    \"eager\": %s,\n", report.eager ? "true" : "false");
-  out += util::format("    \"shards\": %zu,\n", report.shards.size());
-  out += util::format("    \"mode\": \"%s\",\n",
-                      report.execution_isolated ? "isolated" : "in-process");
-  out += util::format("    \"interrupted\": %s,\n",
-                      report.interrupted ? "true" : "false");
-  out += "    \"crashed_providers\": [";
-  for (std::size_t i = 0; i < report.crashed_providers.size(); ++i) {
-    out += i == 0 ? "" : ", ";
-    out += util::format("\"%s\"",
-                        obs::json_escape(report.crashed_providers[i]).c_str());
-  }
-  out += "],\n";
-  out += util::format("    \"process_spawns\": %zu,\n", report.process_spawns);
-  out += util::format("    \"process_crashes\": %zu\n", report.process_crashes);
+  out += util::format("    \"shards\": %zu\n", report.shards.size());
   out += "  },\n";
-  out += "  \"cache\": {\n";
-  out += util::format("    \"mode\": \"%s\",\n",
-                      store::cache_mode_name(options.cache.mode).data());
-  out += util::format("    \"code_epoch\": %u,\n", store::kCodeEpoch);
-  out += util::format("    \"hits\": %zu,\n", cache.hits);
-  out += util::format("    \"misses\": %zu,\n", cache.misses);
-  out += util::format("    \"corrupt\": %zu,\n", cache.corrupt);
-  out += util::format("    \"bypassed\": %zu,\n", cache.bypassed);
-  out += util::format("    \"stored\": %zu,\n", cache.stored);
-  out += "    \"shard_cache\": [";
-  for (std::size_t i = 0; i < report.cache_records.size(); ++i) {
-    const auto& r = report.cache_records[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += util::format(
-        "      {\"provider\": \"%s\", \"key\": \"%s\", \"outcome\": \"%s\", "
-        "\"stored\": %s, \"bytes\": %llu}",
-        obs::json_escape(r.provider).c_str(),
-        obs::json_escape(r.key_id).c_str(),
-        std::string(core::cache_outcome_name(r.outcome)).c_str(),
-        r.stored ? "true" : "false",
-        static_cast<unsigned long long>(r.bytes));
-  }
-  out += report.cache_records.empty() ? "]\n" : "\n    ]\n";
-  out += "  }\n";
-  out += "}\n";
+  render_execution_and_cache(out, m);
+  out += "\n}\n";
   return out;
 }
 

@@ -10,9 +10,10 @@
 // ROADMAP's content-addressed artifact store needs to decide whether a
 // shard or a whole campaign can replay from cache.
 //
-// The `run`, `build`, and `telemetry` sections are provenance: how the
-// computation was executed (jobs, attempts), by what toolchain, and how it
-// went (wall stats, pool counters, degradation and watchdog summaries).
+// The `run`, `execution`, `cache`, `build`, and `telemetry` sections are
+// provenance: how the computation was executed (jobs, attempts, backend,
+// store), by what toolchain, and how it went (wall stats, pool counters,
+// degradation and watchdog summaries).
 // Telemetry varies run to run by nature; nothing in it feeds the key.
 #pragma once
 
@@ -37,44 +38,25 @@ struct RunManifest {
   std::uint64_t payload_fingerprint = 0;  // fnv1a(serialized payload)
 
   // --- run: execution parameters ----------------------------------------
-  std::size_t jobs = 0;
   int shard_attempts = 1;
   bool trace_enabled = false;
 
-  // --- execution: process-isolation provenance --------------------------
-  // How shards were executed ("in-process" | "isolated") and, for isolated
-  // runs, what the supervisor observed: resume replays, crash-quarantined
-  // providers, worker-process lifecycle counters, and the final per-slot
-  // process snapshot. All telemetry except `mode`/`journal` (parameters).
-  std::string execution_mode = "in-process";
+  // --- execution + cache: what the shard executor recorded --------------
+  // The executor's own record, verbatim: resolved jobs, backend ("mode"),
+  // resume replays, worker-process lifecycle counters and the final
+  // per-slot snapshot, per-shard cache provenance (key ids in canonical
+  // catalog order; outcomes depend on prior store state) and watchdog
+  // alerts. Next to it, the parameters it ran under. scale_manifest.json
+  // renders these two sections with the same code.
+  core::ExecutionRecord execution;
   std::string journal_path;
-  bool resumed = false;       // run started from --resume
-  bool interrupted = false;   // SIGINT/SIGTERM cut the run short
-  std::size_t resumed_shards = 0;
+  bool resumed = false;  // run started from --resume
   std::vector<std::string> crash_quarantined_providers;
-  std::size_t process_spawns = 0;
-  std::size_t process_crashes = 0;
-  std::size_t process_kills = 0;
-  std::size_t process_timeouts = 0;
-  std::vector<obs::ProcessStatus> processes;
-
-  // --- cache: artifact-store provenance ---------------------------------
-  // What the content-addressed store did for this run: the full per-shard
-  // key ids (canonical catalog order) and hit/miss/corrupt provenance.
-  // The keys are deterministic; the outcomes depend on prior store state.
   std::string cache_mode = "off";
   std::string cache_dir;
   std::uint32_t code_epoch = 0;
   std::uint64_t runner_options_fp = 0;
   core::CacheSummary cache;
-  struct ShardCacheEntry {
-    std::string provider;
-    std::string key;      // 32-hex content address
-    std::string outcome;  // "bypass" | "hit" | "miss" | "corrupt"
-    bool stored = false;
-    std::uint64_t bytes = 0;
-  };
-  std::vector<ShardCacheEntry> shard_cache;  // empty when cache off
 
   // --- build: toolchain provenance --------------------------------------
   std::string compiler;    // __VERSION__
@@ -91,7 +73,6 @@ struct RunManifest {
   std::size_t quarantined_shards = 0;
   std::size_t degraded_vantage_points = 0;
   std::vector<std::string> degraded_providers;
-  std::vector<obs::WatchdogAlert> watchdog_alerts;
 };
 
 // Assembles the manifest for a finished run. `payload` must be the
@@ -106,9 +87,10 @@ struct RunManifest {
 [[nodiscard]] std::string render_manifest_json(const RunManifest& manifest);
 
 // Scaled-run manifest (full_campaign --scale writes it as
-// scale_manifest.json): catalog/payload fingerprints plus the census
-// cache's per-shard provenance — what the dirty-shard CI lane greps to
-// prove a one-provider catalog delta recomputed exactly one shard.
+// scale_manifest.json): catalog/payload fingerprints, then the same
+// execution and cache sections as run_manifest.json — the census cache's
+// per-shard provenance is what the dirty-shard CI lane greps to prove a
+// one-provider catalog delta recomputed exactly one shard.
 [[nodiscard]] std::string render_scaled_manifest_json(
     const core::ScaledCampaignReport& report,
     const core::ScaledCampaignOptions& options);

@@ -142,6 +142,23 @@ std::vector<std::string> canonical_selection(
   return out;
 }
 
+// Binds a journal to one campaign configuration: the journaled outcomes
+// describe a computation of exactly (seed, code epoch, runner options,
+// canonical selection) — resume against anything else is refused.
+std::uint64_t campaign_execution_fingerprint(
+    const std::vector<std::string>& selection, std::uint64_t seed,
+    const RunnerOptions& options) {
+  std::string canon = util::format(
+      "vpna-campaign-exec-v1\x1f%llu\x1f%u\x1f%llu\x1f",
+      static_cast<unsigned long long>(seed), store::kCodeEpoch,
+      static_cast<unsigned long long>(runner_options_fingerprint(options)));
+  for (const auto& name : selection) {
+    canon += name;
+    canon.push_back('\x1f');
+  }
+  return util::fnv1a(canon);
+}
+
 // The provider campaign's shard set: slot i is reports[i], and traces[i]
 // when traced. ParallelCampaign::run and the exec-mode worker build the
 // same set from the same options. The set's callables point into this
@@ -211,6 +228,11 @@ struct ProviderShards {
     set.key = [this](std::size_t i) {
       return campaign_shard_key(selection[i], seed, runner, trace);
     };
+    // Under a fault profile, shards that exhaust every attempt degrade
+    // gracefully into quarantine instead of failing the campaign.
+    set.graceful = runner.fault_profile != faults::FaultProfile::kOff;
+    set.fingerprint = campaign_execution_fingerprint(selection, seed, runner);
+    set.seed = seed;
     return set;
   }
 
@@ -226,23 +248,6 @@ struct ProviderShards {
   std::vector<obs::ShardTrace> traces;
 };
 
-// Binds a journal to one campaign configuration: the journaled outcomes
-// describe a computation of exactly (seed, code epoch, runner options,
-// canonical selection) — resume against anything else is refused.
-std::uint64_t campaign_execution_fingerprint(
-    const std::vector<std::string>& selection, std::uint64_t seed,
-    const RunnerOptions& options) {
-  std::string canon = util::format(
-      "vpna-campaign-exec-v1\x1f%llu\x1f%u\x1f%llu\x1f",
-      static_cast<unsigned long long>(seed), store::kCodeEpoch,
-      static_cast<unsigned long long>(runner_options_fingerprint(options)));
-  for (const auto& name : selection) {
-    canon += name;
-    canon.push_back('\x1f');
-  }
-  return util::fnv1a(canon);
-}
-
 }  // namespace
 
 ParallelCampaign::ParallelCampaign(CampaignOptions options)
@@ -252,30 +257,11 @@ CampaignReport ParallelCampaign::run(const std::vector<std::string>& names,
                                      std::uint64_t seed) {
   const auto t0 = std::chrono::steady_clock::now();
   ProviderShards shards(names, seed, options_);
-
-  ExecutorOptions exec;
-  exec.jobs = options_.jobs;
-  exec.isolate = options_.isolate;
-  exec.shard_attempts = options_.shard_attempts;
-  exec.shard_timeout_s = options_.shard_timeout_s;
-  exec.term_grace_s = options_.term_grace_s;
-  exec.worker_argv = options_.worker_argv;
-  // Under a fault profile, shards that exhaust every attempt degrade
-  // gracefully into quarantine instead of failing the campaign.
-  exec.graceful = options_.runner.fault_profile != faults::FaultProfile::kOff;
-  exec.status = options_.status;
-  exec.cache = options_.cache;
-  exec.journal_path = options_.journal_path;
-  exec.fingerprint = campaign_execution_fingerprint(shards.selection, seed,
-                                                    options_.runner);
-  exec.seed = seed;
-  exec.resume = options_.resume;
-  exec.interrupt = options_.interrupt;
-  ExecutorResult run = ShardExecutor(std::move(exec)).run(shards.set());
+  ExecutorResult run = ShardExecutor(options_).run(shards.set());
 
   CampaignReport report;
+  static_cast<ExecutionRecord&>(report) = std::move(run);
   report.seed = seed;
-  report.jobs = run.jobs;
   report.providers = std::move(shards.reports);
   report.traces = std::move(shards.traces);
   // Canonical-order passes over the settled slots: worker count and
@@ -288,17 +274,6 @@ CampaignReport ParallelCampaign::run(const std::vector<std::string>& names,
   }
   for (const auto& p : report.providers)
     if (p.degraded()) report.degraded_providers.push_back(p.provider);
-  report.workers = std::move(run.workers);
-  report.watchdog_alerts = std::move(run.watchdog_alerts);
-  report.cache_records = std::move(run.cache_records);
-  report.execution_isolated = options_.isolate;
-  report.interrupted = run.interrupted;
-  report.resumed_shards = run.resumed_shards;
-  report.process_spawns = run.process_spawns;
-  report.process_crashes = run.process_crashes;
-  report.process_kills = run.process_kills;
-  report.process_timeouts = run.process_timeouts;
-  report.processes = std::move(run.processes);
   report.wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -334,13 +309,13 @@ struct ArenaTally {
 // provider's vantage addresses in deployment order. Pure function of the
 // materialized shard, so deferred and eager modes agree byte for byte.
 ScaledShardCensus census_shard(const ecosystem::ScaledCatalog& catalog,
-                               std::size_t index, ecosystem::Testbed& tb,
-                               std::uint32_t max_clients) {
+                               std::size_t index, ecosystem::Testbed& tb) {
   const auto& name = catalog.providers[index].spec.name;
   ScaledShardCensus census;
   census.provider = name;
   census.modeled_subscribers = catalog.subscribers[index];
-  census.clients = std::min(max_clients, catalog.subscribers[index]);
+  census.clients = std::min(ecosystem::ScaledShardOptions{}.max_clients,
+                            catalog.subscribers[index]);
   if (!tb.world) return census;
   census.hosts = static_cast<std::uint32_t>(tb.world->host_count());
   const auto* deployed = tb.provider(name);
@@ -365,13 +340,11 @@ ScaledShardCensus census_one(const ecosystem::ScaledCatalog& catalog,
                              const ScaledCampaignOptions& options,
                              std::shared_ptr<const netsim::RoutingPlane> plane,
                              ArenaTally* arena) {
-  ecosystem::ScaledShardOptions shard_opts;
-  shard_opts.max_clients = options.max_clients;
   auto shard = ecosystem::build_scaled_shard(
       catalog, catalog.providers[index].spec.name, options.seed,
-      std::move(plane), shard_opts);
+      std::move(plane));
   if (arena != nullptr) arena->add(shard);
-  return census_shard(catalog, index, shard, options.max_clients);
+  return census_shard(catalog, index, shard);
 }
 
 // The census campaign's shard set: slot i is census[i]. A shard with no
@@ -414,6 +387,14 @@ struct CensusShards {
     set.key = [this](std::size_t i) {
       return scaled_shard_key(catalog, names[i], options);
     };
+    // Census shards degrade, never hard-fail the run. The journal binds to
+    // (code epoch, seed, catalog): resume refuses another size or seed.
+    set.graceful = true;
+    set.fingerprint = util::fnv1a(util::format(
+        "vpna-census-exec-v1\x1f%u\x1f%llu\x1f%016llx\x1f", store::kCodeEpoch,
+        static_cast<unsigned long long>(options.seed),
+        static_cast<unsigned long long>(catalog.fingerprint())));
+    set.seed = options.seed;
     return set;
   }
 
@@ -456,9 +437,13 @@ store::ShardKey scaled_shard_key(const ecosystem::ScaledCatalog& catalog,
   // key shape stays identical to the base campaign's.
   key.fault_profile = std::string(faults::profile_name(faults::FaultProfile::kOff));
   key.link_capacities = false;
-  key.runner_options_fingerprint = util::fnv1a(util::format(
-      "vpna-scaled-options-v1\x1f%u\x1f", options.max_clients));
+  key.runner_options_fingerprint = scaled_options_fingerprint();
   return key;
+}
+
+std::uint64_t scaled_options_fingerprint() {
+  return util::fnv1a(util::format("vpna-scaled-options-v1\x1f%u\x1f",
+                                  ecosystem::ScaledShardOptions{}.max_clients));
 }
 
 ScaledCampaignReport run_scaled_campaign(
@@ -484,44 +469,26 @@ ScaledCampaignReport run_scaled_campaign(
         report.cache_records[i].provider = catalog.providers[i].spec.name;
     }
     const auto plane = ecosystem::shared_backbone_plane();
-    ecosystem::ScaledShardOptions shard_opts;
-    shard_opts.max_clients = options.max_clients;
     std::vector<ecosystem::Testbed> worlds;
     worlds.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
       worlds.push_back(ecosystem::build_scaled_shard(
-          catalog, catalog.providers[i].spec.name, options.seed, plane,
-          shard_opts));
+          catalog, catalog.providers[i].spec.name, options.seed, plane));
     report.shards.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       arena.add(worlds[i]);
-      report.shards[i] =
-          census_shard(catalog, i, worlds[i], options.max_clients);
+      report.shards[i] = census_shard(catalog, i, worlds[i]);
     }
   } else {
     CensusShards shards(catalog, options, &arena);
-    ExecutorOptions exec;
-    exec.jobs = options.jobs;
-    exec.isolate = options.isolate;
-    exec.shard_attempts = options.shard_attempts;
-    exec.term_grace_s = options.term_grace_s;
-    exec.worker_argv = options.worker_argv;
-    exec.graceful = true;  // census shards degrade, never hard-fail the run
-    exec.cache = options.cache;
-    exec.interrupt = options.interrupt;
-    ExecutorResult run = ShardExecutor(std::move(exec)).run(shards.set());
+    ExecutorResult run = ShardExecutor(options).run(shards.set());
     report.shards = std::move(shards.census);
     for (std::size_t i = 0; i < n; ++i) {
       const ShardFate fate = run.slots[i].fate;
       if (fate != ShardFate::kDone && fate != ShardFate::kSkipped)
         report.crashed_providers.push_back(shards.names[i]);
     }
-    report.jobs = run.jobs;
-    report.cache_records = std::move(run.cache_records);
-    report.execution_isolated = options.isolate;
-    report.interrupted = run.interrupted;
-    report.process_spawns = run.process_spawns;
-    report.process_crashes = run.process_crashes;
+    static_cast<ExecutionRecord&>(report) = std::move(run);
   }
 
   report.arena_reserved_bytes = arena.reserved.load();

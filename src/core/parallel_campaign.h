@@ -7,7 +7,6 @@
 // is byte-identical at any worker count and under any scheduling order.
 #pragma once
 
-#include <csignal>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -24,78 +23,33 @@
 
 namespace vpna::core {
 
-struct CampaignOptions {
+// Execution settings (jobs, isolation, retries, status, cache, journal)
+// come from ExecutionOptions; see core/shard_executor.h. The one retry
+// policy applies on every backend: a provider shard that throws, crashes
+// its worker process, or overruns its per-attempt wall budget is re-run
+// from scratch — shards are pure, so a re-run is identical. Payloads are
+// byte-identical at any `jobs`, in-process or isolated, with the cache
+// off, cold or warm, and with the status plane on or off.
+struct CampaignOptions : ExecutionOptions {
   // Per-vantage-point suite options, applied inside every shard runner.
   RunnerOptions runner;
-  // Worker threads (or processes under `isolate`); 0 = hardware
-  // concurrency, 1 = in-caller execution of the very same shards.
-  std::size_t jobs = 1;
-  // The one shard retry policy, on every backend (generalizes
-  // connect_attempts one level up): a provider shard that throws, crashes
-  // its worker process, or overruns its per-attempt wall budget is re-run
-  // from scratch — shards are pure, so a re-run is identical — up to
-  // `shard_attempts` attempts. Isolated runs kill an overrunning worker
-  // (SIGTERM, then SIGKILL); in-process runs discard the over-budget
-  // result when the attempt returns.
-  int shard_attempts = 3;
-  double shard_timeout_s = 0.0;  // 0 = no budget
   // Observability: when trace.enabled, every shard runs under its own
   // TraceRecorder + MetricsRegistry (bound to the shard's sim clock) and
   // the per-shard observations come back in CampaignReport::traces. Trace
-  // content is part of the determinism contract: byte-identical exports at
-  // any `jobs`, in-process or isolated, with the cache off, cold or warm.
-  // A traced shard's trace travels in the shard's bytes, so traced shards
-  // stream over worker frames and are cached like any other.
+  // content is part of the determinism contract. A traced shard's trace
+  // travels in the shard's bytes, so traced shards stream over worker
+  // frames and are cached (under keys no untraced run shares) like any
+  // other.
   obs::TraceConfig trace;
-  // Health plane: live progress heartbeats, an optional --status-file JSON
-  // rewritten atomically on every monitor tick, and a watchdog that flags
-  // shards running far past the completed-shard median. Pure wall-clock
-  // telemetry — never touches the deterministic payload (the health-plane
-  // identity test byte-compares payloads with this on and off).
-  obs::StatusOptions status;
-  // Content-addressed shard cache (store::ArtifactStore). Off by default;
-  // when enabled, each shard consults the store before building its world
-  // and replays a cached report through the same canonical-order merge.
-  // Sound because shards are pure: equal ShardKey implies a byte-identical
-  // report, so the payload is invariant under cache mode (the cache
-  // identity test byte-compares payloads off/rw/ro, cold and warm). A
-  // traced run caches report and trace together, under keys no untraced
-  // run shares.
-  store::CacheConfig cache;
-
-  // --- process isolation (`--isolate`) --------------------------------------
-  // Run every shard in a supervised worker process instead of a pool
-  // thread: reports stream back as checksummed frames, and a worker that
-  // segfaults, is OOM-killed, or hangs is contained — its shard retries on
-  // a fresh process and, exhausted, quarantines while the campaign
-  // completes. The payload stays byte-identical to the in-process engine
-  // (same shard purity, same canonical merge; the isolate identity test
-  // byte-compares them), traced or not.
-  bool isolate = false;
-  // SIGTERM→SIGKILL grace for hang escalation and shutdown.
-  double term_grace_s = 2.0;
-  // Exec-mode worker command line (a process that speaks the worker
-  // protocol on its stdio, e.g. `full_campaign ... --vpna-worker`). Empty
-  // = fork mode: workers fork from this process, no exec.
-  std::vector<std::string> worker_argv;
-  // Durable append-only journal (store::CampaignJournal). Empty = none.
-  std::string journal_path;
-  // Replay journaled-done shards whose artifacts still fetch + decode
-  // (requires `cache`); everything else recomputes. Resume against a
-  // journal from a different campaign configuration throws.
-  bool resume = false;
-  // Cooperative SIGINT/SIGTERM flag: when non-zero the supervisor stops
-  // dispatching, reaps workers, and returns with interrupted = true.
-  const volatile std::sig_atomic_t* interrupt = nullptr;
 };
 
-// The aggregated campaign result. `providers` is the deterministic payload
-// (canonical catalog order); `workers`/`wall_s` are scheduling telemetry
-// and legitimately vary run to run — serialize only `providers` when
-// comparing campaigns for equivalence.
-struct CampaignReport {
+// The aggregated campaign result. `providers` (and `traces`, the failed,
+// degraded and crash-quarantined lists) are the deterministic payload, in
+// canonical catalog order; the ExecutionRecord base and `wall_s` are
+// telemetry that legitimately varies run to run — serialize only the
+// payload when comparing campaigns for equivalence.
+struct CampaignReport : ExecutionRecord {
   std::uint64_t seed = 0;
-  std::size_t jobs = 1;
   std::vector<ProviderReport> providers;
   // Providers whose shard failed every attempt (empty in healthy runs);
   // a placeholder report with connected=false vantage points remains in
@@ -114,36 +68,13 @@ struct CampaignReport {
   // trace-determinism suite byte-compares its exports across worker
   // counts, backends and cache modes.
   std::vector<obs::ShardTrace> traces;
-  std::vector<util::WorkerCounters> workers;
-  // Watchdog records raised during the run (wall-clock telemetry like
-  // `workers`/`wall_s`: varies run to run, excluded from the payload).
-  // Empty unless CampaignOptions::status armed the watchdog.
-  std::vector<obs::WatchdogAlert> watchdog_alerts;
-  // Cache provenance, aligned with `providers` (canonical catalog order);
-  // empty when the cache is disabled. Telemetry — store state varies run
-  // to run, so this never feeds the payload.
-  std::vector<ShardCacheRecord> cache_records;
-  // --- isolate-mode provenance/telemetry ------------------------------------
-  // True when the run used supervised worker processes.
-  bool execution_isolated = false;
-  // True when a SIGINT/SIGTERM interrupt cut the run short; unfinished
-  // shards hold empty placeholders and the payload is incomplete.
-  bool interrupted = false;
   // Providers quarantined because their shard *crashed* every isolated
   // attempt (worker death/kill or an undecodable result frame, not an
-  // in-shard exception). Canonical
-  // catalog order. Distinct from fault-profile quarantine: a crash
-  // quarantine is an engine-health event and fails the run with its own
-  // exit code even though the campaign completed.
+  // in-shard exception). Canonical catalog order. Distinct from
+  // fault-profile quarantine: a crash quarantine is an engine-health event
+  // and fails the run with its own exit code even though the campaign
+  // completed.
   std::vector<std::string> crash_quarantined_providers;
-  // Shards replayed from the journal + artifact store by --resume.
-  std::size_t resumed_shards = 0;
-  // Worker-process lifecycle counters (wall-clock telemetry).
-  std::size_t process_spawns = 0;
-  std::size_t process_crashes = 0;
-  std::size_t process_kills = 0;
-  std::size_t process_timeouts = 0;
-  std::vector<obs::ProcessStatus> processes;  // final per-slot snapshot
   double wall_s = 0.0;
 };
 
@@ -195,34 +126,22 @@ struct CampaignReport {
 // merge in canonical catalog order. The payload is byte-identical at any
 // `jobs` and in both materialization modes.
 
-struct ScaledCampaignOptions {
+// Execution settings as for CampaignOptions; under them, a census shard
+// that throws or crashes every attempt keeps a zeroed record, listed in
+// crashed_providers, so the catalog-order payload still completes. The
+// census cache is keyed per provider on the scaled catalog's
+// provider_fingerprint() — independent of catalog size, so growing N
+// providers to N+1 recomputes exactly the one new shard. Each shard
+// materializes at most ecosystem::ScaledShardOptions{}.max_clients (4)
+// eyeball clients.
+struct ScaledCampaignOptions : ExecutionOptions {
   std::uint64_t seed = 20181031;
-  // Worker threads (or processes under `isolate`); 0 = hardware
-  // concurrency, 1 = in-caller.
-  std::size_t jobs = 1;
-  // Eager mode materializes every shard world in the driver before any
-  // census runs — the peak-RSS A/B baseline. The default (deferred) hands
-  // workers DeferredShard handles materialized on first touch, bounding
-  // peak RSS by the worker count instead of the shard count.
+  // Eager mode materializes every shard world in the caller before any
+  // census runs — the peak-RSS A/B baseline, serial, in-process and
+  // uncached by definition. The default (deferred) hands workers
+  // DeferredShard handles materialized on first touch, bounding peak RSS
+  // by the worker count instead of the shard count.
   bool eager = false;
-  // Per-shard eyeball-client materialization cap (see ScaledShardOptions).
-  std::uint32_t max_clients = 4;
-  // Content-addressed census cache, keyed per provider on the scaled
-  // catalog's provider_fingerprint() — independent of catalog size, so
-  // growing N providers to N+1 recomputes exactly the one new shard.
-  store::CacheConfig cache;
-  // Attempts per census shard, on every backend (CampaignOptions'
-  // policy). A shard that throws or crashes every attempt keeps a zeroed
-  // census record, listed in crashed_providers, so the catalog-order
-  // payload still completes.
-  int shard_attempts = 3;
-  // Process isolation (same machinery as CampaignOptions::isolate): census
-  // shards run in supervised worker processes. Ignored in eager mode (the
-  // RSS baseline is in-process by definition).
-  bool isolate = false;
-  double term_grace_s = 2.0;
-  std::vector<std::string> worker_argv;  // empty = fork-mode workers
-  const volatile std::sig_atomic_t* interrupt = nullptr;
 };
 
 // One shard's deterministic census record.
@@ -235,9 +154,8 @@ struct ScaledShardCensus {
   std::uint64_t address_fingerprint = 0; // FNV over vantage addrs, deploy order
 };
 
-struct ScaledCampaignReport {
+struct ScaledCampaignReport : ExecutionRecord {
   std::uint64_t seed = 0;
-  std::size_t jobs = 1;
   bool eager = false;
   std::vector<ScaledShardCensus> shards;  // canonical catalog order
   std::uint64_t catalog_fingerprint = 0;
@@ -250,15 +168,9 @@ struct ScaledCampaignReport {
   // cache hits skip world construction entirely, so warm runs report 0.
   std::uint64_t arena_reserved_bytes = 0;
   std::uint64_t arena_used_bytes = 0;
-  // Cache provenance in canonical catalog order; empty when disabled.
-  std::vector<ShardCacheRecord> cache_records;
   // Providers whose census shard threw or crashed every attempt (zeroed
-  // record in `shards`), plus isolate-mode process telemetry.
-  bool execution_isolated = false;
-  bool interrupted = false;
+  // record in `shards`), canonical catalog order.
   std::vector<std::string> crashed_providers;
-  std::size_t process_spawns = 0;
-  std::size_t process_crashes = 0;
   // Wall-clock telemetry, excluded from the payload.
   std::size_t peak_rss_kb = 0;
   double wall_s = 0.0;
@@ -280,10 +192,13 @@ struct ScaledCampaignReport {
 // Content address of one scaled census shard: same six-field shape as
 // campaign_shard_key, with the catalog slice fingerprint coming from
 // ScaledCatalog::provider_fingerprint and the options fingerprint covering
-// the census-shaping scaled options (max_clients).
+// the census-shaping client cap (scaled_options_fingerprint).
 [[nodiscard]] store::ShardKey scaled_shard_key(
     const ecosystem::ScaledCatalog& catalog, const std::string& name,
     const ScaledCampaignOptions& options);
+// The census-shaping options fingerprint every scaled key carries (and
+// scale_manifest.json reports).
+[[nodiscard]] std::uint64_t scaled_options_fingerprint();
 
 // Exec-mode worker entry points (`full_campaign ... --vpna-worker`): serve
 // the worker protocol on stdin/stdout with the very shard set that

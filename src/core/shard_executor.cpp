@@ -101,9 +101,7 @@ class StatusMonitor {
   }
 
   void tick() {
-    if (opts_.watchdog_multiple > 0.0)
-      board_.watchdog_scan(opts_.watchdog_multiple,
-                           opts_.watchdog_min_completed);
+    board_.watchdog_scan(opts_.watchdog_multiple);
     if (pool_ != nullptr) {
       std::vector<obs::WorkerStatus> workers;
       for (const auto& c : pool_->counters()) {
@@ -141,15 +139,16 @@ ShardSupervisor::ChildRun child_run(const ShardSet& shards) {
 // the three backends that schedule the attempts between them.
 class Execution {
  public:
-  Execution(const ShardSet& shards, const ExecutorOptions& options)
-      : shards_(shards),
-        options_(options),
-        n_(shards.names.size()),
-        attempts_(std::max(1, options.shard_attempts)) {
+  // Resolves the options every backend reads: jobs (0 = hardware
+  // concurrency) and the attempt budget (at least one).
+  Execution(const ShardSet& shards, ExecutionOptions options)
+      : shards_(shards), options_(std::move(options)), n_(shards.names.size()) {
+    if (options_.jobs == 0)
+      options_.jobs = std::max(1u, std::thread::hardware_concurrency());
+    options_.shard_attempts = std::max(1, options_.shard_attempts);
     result_.slots.resize(n_);
-    result_.jobs = options_.jobs != 0
-                       ? options_.jobs
-                       : std::max(1u, std::thread::hardware_concurrency());
+    result_.jobs = options_.jobs;
+    result_.execution_isolated = options_.isolate;
   }
   Execution(const Execution&) = delete;
   Execution& operator=(const Execution&) = delete;
@@ -176,7 +175,6 @@ class Execution {
 
     for (const auto& slot : result_.slots)
       if (slot.fate == ShardFate::kSkipped) result_.interrupted = true;
-    // An armed board holds every alert, the supervisor's included.
     if (board_) result_.watchdog_alerts = board_->alerts();
     return std::move(result_);
   }
@@ -208,7 +206,7 @@ class Execution {
     std::vector<store::JournalEntry> entries;
     if (!store::CampaignJournal::load(options_.journal_path, &header, &entries))
       return {};  // no loadable journal: a fresh run that carries resume
-    if (header.campaign_fingerprint != options_.fingerprint)
+    if (header.campaign_fingerprint != shards_.fingerprint)
       throw std::runtime_error(
           "ShardExecutor: --resume refused — the journal describes a "
           "different campaign configuration (seed, code epoch, options, "
@@ -228,8 +226,8 @@ class Execution {
   void open_journal(bool fresh) {
     if (options_.journal_path.empty()) return;
     store::JournalHeader header;
-    header.campaign_fingerprint = options_.fingerprint;
-    header.seed = options_.seed;
+    header.campaign_fingerprint = shards_.fingerprint;
+    header.seed = shards_.seed;
     header.shards = n_;
     header.cache_dir = options_.cache.dir;
     journal_ = store::CampaignJournal::open(options_.journal_path, header, fresh);
@@ -332,11 +330,11 @@ class Execution {
   }
 
   [[nodiscard]] ShardFate exhausted() const {
-    return options_.graceful ? ShardFate::kQuarantined : ShardFate::kFailed;
+    return shards_.graceful ? ShardFate::kQuarantined : ShardFate::kFailed;
   }
 
   // The in-process attempt loop shared by the in-caller and pool backends:
-  // up to `attempts_` runs, each checked against the wall budget when it
+  // up to `shard_attempts` runs, each checked against the wall budget when it
   // returns (a thread cannot be preempted). Counts land in `row`, which
   // only the calling thread writes.
   void attempt(std::size_t i, int worker, util::WorkerCounters& row) {
@@ -363,7 +361,7 @@ class Execution {
         settle(i, ShardFate::kDone, n, "");
         return;
       }
-      if (n >= attempts_) {
+      if (n >= options_.shard_attempts) {
         settle(i, exhausted(), n, std::move(error));
         return;
       }
@@ -406,21 +404,12 @@ class Execution {
   }
 
   void run_processes(const std::vector<std::size_t>& todo) {
-    SupervisorOptions sup;
-    sup.jobs = result_.jobs;
-    sup.shard_attempts = attempts_;
-    sup.shard_timeout_s = options_.shard_timeout_s;
-    sup.term_grace_s = options_.term_grace_s;
-    sup.watchdog_multiple = options_.status.watchdog_multiple;
-    sup.watchdog_min_completed = options_.status.watchdog_min_completed;
-    sup.worker_argv = options_.worker_argv;
-    sup.interrupt = options_.interrupt;
-    ShardSupervisor supervisor(sup, shards_.names, child_run(shards_));
+    ShardSupervisor supervisor(options_, shards_.names, child_run(shards_));
     // Settled the moment the outcome is terminal: a supervisor killed
     // right after this leaves a durable record of exactly the shards whose
     // results survive.
     SupervisorResult sres = supervisor.run(
-        todo, board_ ? &*board_ : nullptr, options_.status,
+        todo, board_ ? &*board_ : nullptr,
         [&](std::size_t i, const SupervisedShard& s) {
           switch (s.outcome) {
             case SupervisedShard::Outcome::kDone:
@@ -450,13 +439,11 @@ class Execution {
     result_.process_kills = sres.kills;
     result_.process_timeouts = sres.timeouts;
     result_.processes = std::move(sres.processes);
-    result_.watchdog_alerts = std::move(sres.alerts);
   }
 
   const ShardSet& shards_;
-  const ExecutorOptions& options_;
+  ExecutionOptions options_;
   const std::size_t n_;
-  const int attempts_;
   ExecutorResult result_;
   std::optional<obs::StatusBoard> board_;
   std::optional<store::ArtifactStore> store_;
@@ -467,7 +454,7 @@ class Execution {
 
 }  // namespace
 
-ShardExecutor::ShardExecutor(ExecutorOptions options)
+ShardExecutor::ShardExecutor(ExecutionOptions options)
     : options_(std::move(options)) {}
 
 ExecutorResult ShardExecutor::run(const ShardSet& shards) const {

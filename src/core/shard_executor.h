@@ -104,28 +104,36 @@ struct ShardSet {
   std::function<void(std::size_t, ShardFate)> placeholder;
   // Content address of shard i; empty = the shards are not cacheable.
   std::function<store::ShardKey(std::size_t)> key;
+  // Exhausted shards degrade into kQuarantined instead of kFailed.
+  bool graceful = false;
+  // Binds a journal to this computation (resume refuses a journal written
+  // under any other fingerprint); `seed` is recorded in its header.
+  std::uint64_t fingerprint = 0;
+  std::uint64_t seed = 0;
 };
 
-struct ExecutorOptions {
-  std::size_t jobs = 1;  // 0 = hardware concurrency
+// How a campaign executes, whatever its shards compute: declared once here
+// and inherited by CampaignOptions and ScaledCampaignOptions. Execution
+// settings never reach a shard's result.
+struct ExecutionOptions {
+  std::size_t jobs = 1;  // 0 = hardware concurrency, 1 = in-caller
   bool isolate = false;  // process backend
   // The one retry policy: attempts per shard (>= 1) and the per-attempt
   // wall budget (0 = none).
   int shard_attempts = 3;
   double shard_timeout_s = 0.0;
   // Process backend: SIGTERM→SIGKILL grace, and the exec-mode worker
-  // command line (empty = fork mode).
+  // command line (a process that serves the worker protocol on its stdio,
+  // e.g. `full_campaign ... --vpna-worker`; empty = fork mode).
   double term_grace_s = 2.0;
   std::vector<std::string> worker_argv;
-  // Exhausted shards degrade into kQuarantined instead of kFailed.
-  bool graceful = false;
+  // Health plane: status file and watchdog (wall-clock telemetry only).
   obs::StatusOptions status;
+  // Content-addressed shard cache; off by default.
   store::CacheConfig cache;
-  // Durable journal (empty = none). `fingerprint` binds it to one
-  // computation; `resume` replays its done shards from the store.
+  // Durable journal (empty = none); `resume` replays its done shards from
+  // the store and throws on a journal from another computation.
   std::string journal_path;
-  std::uint64_t fingerprint = 0;
-  std::uint64_t seed = 0;
   bool resume = false;
   // Process backend: cooperative SIGINT/SIGTERM flag; when non-zero the
   // supervisor stops dispatching, reaps its workers, and the shards it did
@@ -139,27 +147,36 @@ struct ShardSlot {
   std::string error;  // last failure description
 };
 
-struct ExecutorResult {
-  std::vector<ShardSlot> slots;                 // aligned with names
-  std::vector<ShardCacheRecord> cache_records;  // empty when cache off
+// How a run went, as the executor observed it: wall-clock telemetry and
+// store provenance, never payload. CampaignReport and ScaledCampaignReport
+// carry it as their base, so every report and manifest reads one record.
+struct ExecutionRecord {
+  std::size_t jobs = 1;  // resolved worker count
   // In-process scheduling telemetry: attempts, retries and timeouts per
   // worker (one row in-caller; empty for the process backend).
   std::vector<util::WorkerCounters> workers;
+  // Every watchdog alert raised (empty unless status armed the watchdog).
   std::vector<obs::WatchdogAlert> watchdog_alerts;
-  std::size_t jobs = 1;
-  bool interrupted = false;
-  std::size_t resumed_shards = 0;
+  // Per-shard cache provenance in canonical order; empty when cache off.
+  std::vector<ShardCacheRecord> cache_records;
+  bool execution_isolated = false;  // ran on the process backend
+  bool interrupted = false;         // a shard settled kSkipped
+  std::size_t resumed_shards = 0;   // replayed from the journal + store
   // Process backend telemetry.
   std::size_t process_spawns = 0;
-  std::size_t process_crashes = 0;
-  std::size_t process_kills = 0;
+  std::size_t process_crashes = 0;  // deaths with a shard in flight
+  std::size_t process_kills = 0;    // timeout/watchdog escalations
   std::size_t process_timeouts = 0;
-  std::vector<obs::ProcessStatus> processes;
+  std::vector<obs::ProcessStatus> processes;  // final per-slot snapshot
+};
+
+struct ExecutorResult : ExecutionRecord {
+  std::vector<ShardSlot> slots;  // aligned with names
 };
 
 class ShardExecutor {
  public:
-  explicit ShardExecutor(ExecutorOptions options);
+  explicit ShardExecutor(ExecutionOptions options);
 
   // Runs every shard of `shards` and returns one settled slot per shard.
   // Throws std::runtime_error when `resume` meets a journal written for a
@@ -167,7 +184,7 @@ class ShardExecutor {
   [[nodiscard]] ExecutorResult run(const ShardSet& shards) const;
 
  private:
-  ExecutorOptions options_;
+  ExecutionOptions options_;
 };
 
 // The worker-process body for `shards`: serves run commands on stdin and

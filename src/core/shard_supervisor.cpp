@@ -17,6 +17,12 @@ namespace vpna::core {
 
 namespace {
 
+// Backoff between a shard's failed attempt and its re-run: 50 ms doubling
+// per attempt, capped at 2 s. Wall-clock only — the re-run is deterministic
+// whenever it happens.
+constexpr double kBackoffInitialMs = 50.0;
+constexpr double kBackoffMaxMs = 2000.0;
+
 double mono_s() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -71,7 +77,7 @@ struct Slot {
   std::size_t inflight_index = 0;
   int inflight_attempt = 0;
   double inflight_start = 0.0;
-  bool alerted = false;    // watchdog alert raised for this attempt
+  bool alerted = false;    // the board's watchdog flagged this attempt
   bool term_sent = false;  // escalation state
   double term_at = 0.0;
   std::size_t spawns = 0;
@@ -93,7 +99,7 @@ std::string_view supervised_outcome_name(
   return "pending";
 }
 
-ShardSupervisor::ShardSupervisor(SupervisorOptions options,
+ShardSupervisor::ShardSupervisor(ExecutionOptions options,
                                  std::vector<std::string> names,
                                  ChildRun child_run)
     : options_(std::move(options)),
@@ -102,7 +108,6 @@ ShardSupervisor::ShardSupervisor(SupervisorOptions options,
 
 SupervisorResult ShardSupervisor::run(const std::vector<std::size_t>& indices,
                                       obs::StatusBoard* status,
-                                      const obs::StatusOptions& status_opts,
                                       const TerminalHook& on_terminal) {
   SupervisorResult result;
   result.shards.resize(names_.size());
@@ -129,23 +134,15 @@ SupervisorResult ShardSupervisor::run(const std::vector<std::size_t>& indices,
   std::vector<Slot> slots(jobs);
   std::size_t spawn_failures = 0;  // consecutive; a stuck launcher aborts
 
-  std::vector<double> completed_walls;
+  const obs::StatusOptions& status_opts = options_.status;
   const double interval_s =
       std::max(status_opts.interval_ms, 1.0) / 1000.0;
   double last_tick = 0.0;
 
-  const auto median_wall = [&]() -> double {
-    if (completed_walls.empty()) return 0.0;
-    std::vector<double> walls = completed_walls;
-    const std::size_t mid = walls.size() / 2;
-    std::nth_element(walls.begin(), walls.begin() + mid, walls.end());
-    return walls[mid];
-  };
-
-  const auto backoff_s = [&](int attempt) {
-    double ms = options_.backoff_initial_ms;
+  const auto backoff_s = [](int attempt) {
+    double ms = kBackoffInitialMs;
     for (int i = 1; i < attempt; ++i) ms *= 2.0;
-    return std::min(ms, options_.backoff_max_ms) / 1000.0;
+    return std::min(ms, kBackoffMaxMs) / 1000.0;
   };
 
   const auto finish_shard = [&](std::size_t index,
@@ -222,9 +219,7 @@ SupervisorResult ShardSupervisor::run(const std::vector<std::size_t>& indices,
       }
       slot.has_inflight = false;
       slot.term_sent = false;
-      const double wall = mono_s() - slot.inflight_start;
       if (frame.status == ShardFrameStatus::kOk) {
-        completed_walls.push_back(wall);
         ++slot.shards_done;
         finish_shard(frame.index, SupervisedShard::Outcome::kDone,
                      static_cast<int>(frame.attempt), std::move(frame.payload));
@@ -397,37 +392,27 @@ SupervisorResult ShardSupervisor::run(const std::vector<std::size_t>& indices,
       }
     }
 
-    // 4. Hang escalation: hard timeout, then the median-multiple watchdog
-    // (alert first, TERM on the next pass, KILL after the grace).
+    // 4. Hang escalation: the hard timeout, or a watchdog alert from an
+    // earlier pass, starts TERM; KILL follows after the grace. The board's
+    // watchdog (one median, shared with the in-process backends) flags
+    // stalled shards; its worker index is the slot that runs them.
     now = mono_s();
-    const double med = median_wall();
-    for (std::size_t s = 0; s < slots.size(); ++s) {
-      auto& slot = slots[s];
+    for (auto& slot : slots) {
       if (!slot.live || !slot.has_inflight) continue;
-      const double elapsed = now - slot.inflight_start;
-      if (options_.shard_timeout_s > 0.0 &&
-          elapsed > options_.shard_timeout_s) {
-        if (!slot.term_sent) ++result.timeouts;
-        escalate(slot, now);
-        continue;
-      }
-      if (options_.watchdog_multiple > 0.0 && med > 0.0 &&
-          completed_walls.size() >= options_.watchdog_min_completed &&
-          elapsed > options_.watchdog_multiple * med) {
-        if (!slot.alerted) {
-          slot.alerted = true;
-          obs::WatchdogAlert alert;
-          alert.shard = names_[slot.inflight_index];
-          alert.worker = static_cast<int>(s);
-          alert.elapsed_s = elapsed;
-          alert.median_s = med;
-          result.alerts.push_back(alert);
-          if (status != nullptr) status->add_alert(alert);
-        } else {
-          escalate(slot, now);
-        }
-      }
+      const bool over_budget =
+          options_.shard_timeout_s > 0.0 &&
+          now - slot.inflight_start > options_.shard_timeout_s;
+      if (over_budget && !slot.term_sent) ++result.timeouts;
+      if (over_budget || slot.alerted) escalate(slot, now);
     }
+    if (status != nullptr)
+      for (const auto& alert :
+           status->watchdog_scan(status_opts.watchdog_multiple)) {
+        const auto s = static_cast<std::size_t>(alert.worker);
+        if (s < slots.size() && slots[s].has_inflight &&
+            names_[slots[s].inflight_index] == alert.shard)
+          slots[s].alerted = true;
+      }
 
     status_tick(false);
 
@@ -455,7 +440,6 @@ SupervisorResult ShardSupervisor::run(const std::vector<std::size_t>& indices,
   // pipes and let workers exit 0 on EOF (killing them would race their
   // final clean exit and show up as noise in the process telemetry).
   if (interrupted) {
-    result.interrupted = true;
     for (auto& slot : slots)
       if (slot.live) slot.proc.signal(SIGTERM);
   } else {

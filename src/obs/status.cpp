@@ -93,11 +93,6 @@ void StatusBoard::set_processes(std::vector<ProcessStatus> processes) {
   processes_ = std::move(processes);
 }
 
-void StatusBoard::add_alert(WatchdogAlert alert) {
-  std::lock_guard<std::mutex> lock(mu_);
-  alerts_.push_back(std::move(alert));
-}
-
 double StatusBoard::median_completed_locked() const {
   if (completed_walls_.empty()) return 0.0;
   std::vector<double> walls = completed_walls_;
@@ -109,13 +104,11 @@ double StatusBoard::median_completed_locked() const {
   return (lo + hi) / 2.0;
 }
 
-std::vector<WatchdogAlert> StatusBoard::watchdog_scan(
-    double multiple, std::size_t min_completed) {
+std::vector<WatchdogAlert> StatusBoard::watchdog_scan(double multiple) {
   std::vector<WatchdogAlert> fresh;
   if (multiple <= 0.0) return fresh;
   std::lock_guard<std::mutex> lock(mu_);
-  if (completed_walls_.size() < std::max<std::size_t>(min_completed, 1))
-    return fresh;
+  if (completed_walls_.size() < kWatchdogMinCompleted) return fresh;
   const double median = median_completed_locked();
   if (median <= 0.0) return fresh;
   const double t = now();

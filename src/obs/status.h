@@ -9,13 +9,14 @@
 // deliberately light: one mutex, taken only on the rare shard transitions
 // and on snapshot — never on any per-packet or per-exchange path.
 //
-// Watchdog semantics: once at least `min_completed` shards have finished,
-// any *running* shard whose elapsed wall time exceeds `multiple` × the
-// median completed-shard wall time is flagged — once per shard, as a
-// structured WatchdogAlert record next to the fault plane's Degradations.
-// An alert never kills or preempts the shard (the pool cannot preempt, and
-// a slow shard is usually a loaded machine, not a hang); it makes the
-// stall visible while the run is still in flight.
+// Watchdog semantics: once at least kWatchdogMinCompleted shards have
+// finished, any *running* shard whose elapsed wall time exceeds `multiple`
+// × the median completed-shard wall time is flagged — once per attempt, as
+// a structured WatchdogAlert record next to the fault plane's
+// Degradations. The board's median is the only one: in-process backends
+// only report the alert (a thread cannot be preempted, and a slow shard is
+// usually a loaded machine, not a hang), while the shard supervisor
+// escalates an alerted worker process into SIGTERM→SIGKILL.
 //
 // Everything here is wall-clock telemetry: it varies run to run and is
 // quarantined from the deterministic campaign payload exactly like the
@@ -30,7 +31,10 @@
 
 namespace vpna::obs {
 
-// Campaign status/watchdog configuration (CampaignOptions::status).
+// Completed shards required before the watchdog trusts the median.
+inline constexpr std::size_t kWatchdogMinCompleted = 3;
+
+// Campaign status/watchdog configuration (ExecutionOptions::status).
 struct StatusOptions {
   // Status-file path; empty = no file written.
   std::string file;
@@ -39,8 +43,6 @@ struct StatusOptions {
   // Watchdog threshold: flag running shards exceeding this multiple of the
   // running median completed-shard wall time. 0 disables the watchdog.
   double watchdog_multiple = 0.0;
-  // Completed shards required before the median is trusted.
-  std::size_t watchdog_min_completed = 3;
 
   // True when the engine should stand up the board + monitor thread at
   // all; default options keep the whole plane off.
@@ -151,15 +153,10 @@ class StatusBoard {
   // pushes one entry per slot each status tick).
   void set_processes(std::vector<ProcessStatus> processes);
 
-  // Records an externally raised watchdog alert (the shard supervisor
-  // detects stalls with its own clock — escalation needs it — but the
-  // alert still belongs in this board's status stream).
-  void add_alert(WatchdogAlert alert);
-
-  // Runs one watchdog pass; returns only the alerts newly raised by this
-  // scan (each shard alerts at most once per attempt).
-  std::vector<WatchdogAlert> watchdog_scan(double multiple,
-                                           std::size_t min_completed);
+  // Runs one watchdog pass (a no-op when `multiple` <= 0); returns only
+  // the alerts newly raised by this scan (each shard alerts at most once
+  // per attempt).
+  std::vector<WatchdogAlert> watchdog_scan(double multiple);
 
   [[nodiscard]] StatusSnapshot snapshot() const;
   [[nodiscard]] std::vector<WatchdogAlert> alerts() const;

@@ -5,7 +5,7 @@
 namespace vpna::obs {
 
 namespace detail {
-thread_local TraceRecorder* t_tracer = nullptr;
+constinit thread_local TraceRecorder* t_tracer = nullptr;
 }  // namespace detail
 using detail::t_tracer;
 

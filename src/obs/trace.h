@@ -92,7 +92,10 @@ class TraceRecorder {
 namespace detail {
 // The thread-bound recorder. Exposed (as a detail) so the no-tracer checks
 // below inline into the per-packet hot path; use tracer()/ScopedObservation.
-extern thread_local TraceRecorder* t_tracer;
+// constinit: other translation units read the variable directly, with no
+// TLS init-function call (whose null-address check UBSan builds miscompile
+// once the linker relaxes the TLS access).
+extern thread_local constinit TraceRecorder* t_tracer;
 }  // namespace detail
 
 // The recorder bound to this thread by ScopedObservation, or nullptr.

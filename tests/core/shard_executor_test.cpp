@@ -158,8 +158,8 @@ class FakeShards {
   fs::path run_log_;
 };
 
-ExecutorOptions options_for(const Backend& backend) {
-  ExecutorOptions opts;
+ExecutionOptions options_for(const Backend& backend) {
+  ExecutionOptions opts;
   opts.jobs = backend.jobs;
   opts.isolate = backend.isolate;
   opts.term_grace_s = 0.1;
@@ -211,8 +211,9 @@ TEST(ShardExecutor, ExhaustedShardGetsItsPlaceholderAndIsClassified) {
       };
       auto opts = options_for(backend);
       opts.shard_attempts = 2;
-      opts.graceful = graceful;
-      const auto result = ShardExecutor(opts).run(shards.set());
+      ShardSet set = shards.set();
+      set.graceful = graceful;
+      const auto result = ShardExecutor(opts).run(set);
       const ShardFate want =
           graceful ? ShardFate::kQuarantined : ShardFate::kFailed;
       EXPECT_EQ(result.slots[1].fate, want);
@@ -279,7 +280,7 @@ TEST(ShardExecutor, GenerousTimeoutKeepsFastShards) {
 
 TEST(ShardExecutor, CacheHitNeverCallsRun) {
   ScratchDir dir;
-  ExecutorOptions cold = options_for(kBackends[0]);
+  ExecutionOptions cold = options_for(kBackends[0]);
   cold.cache.dir = dir.path("store").string();
   cold.cache.mode = store::CacheMode::kReadWrite;
   {
@@ -321,7 +322,6 @@ TEST(ShardExecutor, JournalRecordFollowsItsArtifactPut) {
     opts.cache.dir = dir.path("store").string();
     opts.cache.mode = store::CacheMode::kReadWrite;
     opts.journal_path = dir.path("campaign.journal").string();
-    opts.fingerprint = 7;
     const auto journal_path = opts.journal_path;
     shards.encode_hook = [&journal_path](std::size_t i) {
       store::JournalHeader header;
@@ -331,7 +331,8 @@ TEST(ShardExecutor, JournalRecordFollowsItsArtifactPut) {
       for (const auto& e : entries)
         if (e.index == i) throw std::logic_error("journaled before filed");
     };
-    const ShardSet set = shards.set();
+    ShardSet set = shards.set();
+    set.fingerprint = 7;
     const auto result = ShardExecutor(opts).run(set);
     for (const auto& slot : result.slots)
       EXPECT_EQ(slot.fate, ShardFate::kDone) << slot.error;

@@ -206,7 +206,7 @@ TEST_F(CacheCampaignTest, ManifestRecordsCacheProvenance) {
       analysis::build_run_manifest(opts, warm, payload(warm));
   EXPECT_EQ(manifest.cache_mode, "rw");
   EXPECT_EQ(manifest.cache.hits, kSubset.size());
-  ASSERT_EQ(manifest.shard_cache.size(), kSubset.size());
+  ASSERT_EQ(manifest.execution.cache_records.size(), kSubset.size());
   const std::string json = analysis::render_manifest_json(manifest);
   EXPECT_NE(json.find("\"hits\": 6"), std::string::npos);
   EXPECT_NE(json.find("\"misses\": 0"), std::string::npos);

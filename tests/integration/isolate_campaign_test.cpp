@@ -1,8 +1,9 @@
 // Process-isolated campaign execution end to end: byte-identity with the
 // in-process engine, crash containment (exit/segv/hang workers retried on
-// fresh processes, then quarantined), journal-based resume after a
+// fresh processes, then quarantined; hangs caught by the hard timeout or
+// by the status board's watchdog), journal-based resume after a
 // supervisor kill, interrupt semantics, and the scaled-census isolate
-// path. Everything runs fork-mode supervised workers on a cheap
+// path with its resume, journal refusal and status file. Everything runs fork-mode supervised workers on a cheap
 // six-provider subset, with deterministic crash injection via
 // VPNA_CRASH_SHARD / VPNA_CRASH_SUPERVISOR.
 #include <gtest/gtest.h>
@@ -10,6 +11,8 @@
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -18,8 +21,10 @@
 
 #include "analysis/report_aggregation.h"
 #include "core/parallel_campaign.h"
+#include "core/report_codec.h"
 #include "ecosystem/scale.h"
 #include "store/journal.h"
+#include "util/strings.h"
 #include "util/subprocess.h"
 
 namespace vpna {
@@ -135,6 +140,54 @@ TEST(IsolateCampaign, HangingWorkerIsEscalatedAndQuarantined) {
   EXPECT_EQ(healthy, kSubset.size() - 1);
 }
 
+TEST(IsolateCampaign, WatchdogEscalatesAStalledWorkerAndQuarantinesIt) {
+  // No hard budget: only the board's median-multiple watchdog can catch
+  // the hang. Shard 5 is dispatched after at least three shards finished,
+  // so the median is trusted by the time it stalls. A second attempt
+  // keeps a healthy shard that a loaded host drives past the threshold
+  // from failing the comparison below.
+  EnvGuard crash("VPNA_CRASH_SHARD", "5:hang:always");
+  const auto dir = fresh_dir("watchdog");
+  auto opts = subset_options(2, true);
+  opts.status.watchdog_multiple = 4.0;
+  opts.status.interval_ms = 10.0;
+  opts.status.file = (dir / "status.json").string();
+  opts.term_grace_s = 0.1;
+  opts.shard_attempts = 2;
+  const auto report = core::ParallelCampaign(opts).run(kSubset);
+  const std::string stalled = report.providers[5].provider;
+
+  ASSERT_EQ(report.crash_quarantined_providers,
+            std::vector<std::string>{stalled});
+  EXPECT_EQ(report.process_timeouts, 0u);
+  EXPECT_GE(report.process_kills, 1u);
+  // Every alert is the board's: the final status file lists each one with
+  // the median the board computed.
+  std::ostringstream status;
+  status << std::ifstream(opts.status.file).rdbuf();
+  bool stalled_alerted = false;
+  for (const auto& alert : report.watchdog_alerts) {
+    EXPECT_GT(alert.median_s, 0.0);
+    EXPECT_GT(alert.elapsed_s, opts.status.watchdog_multiple * alert.median_s);
+    EXPECT_NE(status.str().find(util::format("\"median_s\": %.3f",
+                                             alert.median_s)),
+              std::string::npos)
+        << alert.shard;
+    stalled_alerted = stalled_alerted || alert.shard == stalled;
+  }
+  EXPECT_TRUE(stalled_alerted);
+
+  // The other five shards merged exactly what the in-process engine
+  // computes.
+  const auto inproc = core::ParallelCampaign(subset_options(2, false)).run(kSubset);
+  ASSERT_EQ(report.providers.size(), inproc.providers.size());
+  for (std::size_t i = 0; i + 1 < kSubset.size(); ++i)
+    EXPECT_EQ(core::encode_provider_report(report.providers[i]),
+              core::encode_provider_report(inproc.providers[i]))
+        << kSubset[i];
+  std::filesystem::remove_all(dir);
+}
+
 TEST(IsolateCampaign, InterruptFlagStopsTheRunWithExitCode130) {
   static volatile std::sig_atomic_t interrupted = 1;  // pre-raised
   auto opts = subset_options(2, true);
@@ -245,6 +298,87 @@ TEST(IsolateCampaign, ScaledCensusCrashKeepsAZeroedRecordAndCompletes) {
   for (std::size_t i = 0; i < report.shards.size(); ++i) {
     if (i != 4) EXPECT_GT(report.shards[i].vantage_points, 0u);
   }
+}
+
+core::ScaledCampaignOptions census_options(const std::filesystem::path& dir) {
+  core::ScaledCampaignOptions opts;
+  opts.jobs = 2;
+  opts.isolate = true;
+  opts.term_grace_s = 0.3;
+  opts.cache.dir = (dir / "cache").string();
+  opts.cache.mode = store::CacheMode::kReadWrite;
+  opts.journal_path = (dir / "campaign.journal").string();
+  return opts;
+}
+
+TEST(IsolateCampaign, ScaledCensusResumeAfterSupervisorKillIsByteIdentical) {
+  const auto catalog = ecosystem::generate_scaled_catalog(12, 50, 20181031);
+  core::ScaledCampaignOptions inproc;
+  inproc.jobs = 2;
+  const auto golden = core::run_scaled_campaign(catalog, inproc);
+
+  const auto dir = fresh_dir("census_resume");
+  auto victim = util::Subprocess::fork_child([&catalog, dir](int, int) {
+    ::setenv("VPNA_CRASH_SUPERVISOR", "4:kill", 1);
+    (void)core::run_scaled_campaign(catalog, census_options(dir));
+    return 0;  // unreachable: the supervisor dies first
+  });
+  const auto status = victim.wait();
+  ASSERT_TRUE(status.signaled);
+  ASSERT_EQ(status.signal, SIGKILL);
+
+  store::JournalHeader header;
+  std::vector<store::JournalEntry> entries;
+  ASSERT_TRUE(store::CampaignJournal::load(
+      census_options(dir).journal_path, &header, &entries));
+  EXPECT_EQ(entries.size(), 4u);
+  EXPECT_EQ(header.seed, golden.seed);
+
+  auto opts = census_options(dir);
+  opts.resume = true;
+  const auto report = core::run_scaled_campaign(catalog, opts);
+  EXPECT_EQ(report.resumed_shards, 4u);
+  EXPECT_TRUE(report.crashed_providers.empty());
+  EXPECT_EQ(report.payload, golden.payload);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(IsolateCampaign, ScaledCensusResumeRefusesAnotherCatalogOrSeed) {
+  const auto dir = fresh_dir("census_mismatch");
+  const auto catalog = ecosystem::generate_scaled_catalog(6, 50, 20181031);
+  (void)core::run_scaled_campaign(catalog, census_options(dir));
+
+  auto opts = census_options(dir);
+  opts.resume = true;
+  // The journal binds (code epoch, seed, catalog fingerprint): a grown
+  // catalog or another seed is another computation.
+  const auto grown = ecosystem::generate_scaled_catalog(7, 50, 20181031);
+  EXPECT_THROW((void)core::run_scaled_campaign(grown, opts),
+               std::runtime_error);
+  auto reseeded = opts;
+  reseeded.seed = opts.seed + 1;
+  EXPECT_THROW((void)core::run_scaled_campaign(catalog, reseeded),
+               std::runtime_error);
+  // The matching configuration still resumes.
+  EXPECT_EQ(core::run_scaled_campaign(catalog, opts).resumed_shards, 6u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(IsolateCampaign, ScaledCensusStatusFileEndsAtOneHundredPercent) {
+  const auto dir = fresh_dir("census_status");
+  const auto catalog = ecosystem::generate_scaled_catalog(8, 50, 20181031);
+  core::ScaledCampaignOptions opts;
+  opts.jobs = 2;
+  opts.isolate = true;
+  opts.status.file = (dir / "status.json").string();
+  const auto report = core::run_scaled_campaign(catalog, opts);
+  EXPECT_TRUE(report.crashed_providers.empty());
+  std::ostringstream json;
+  json << std::ifstream(opts.status.file).rdbuf();
+  EXPECT_NE(json.str().find("\"percent\": 100.0"), std::string::npos)
+      << json.str();
+  EXPECT_NE(json.str().find("\"total\": 8"), std::string::npos);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

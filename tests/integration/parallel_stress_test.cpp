@@ -67,7 +67,7 @@ TEST(ParallelStress, RetryChurnUnderContention) {
     values[i] = static_cast<int>(i);
   };
   shards.placeholder = [](std::size_t, core::ShardFate) {};
-  core::ExecutorOptions opts;
+  core::ExecutionOptions opts;
   opts.jobs = 6;
   const auto result = core::ShardExecutor(opts).run(shards);
   for (std::size_t i = 0; i < kShards; ++i) {

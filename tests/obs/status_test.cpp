@@ -121,10 +121,10 @@ TEST(StatusBoard, WatchdogCatchesArtificiallyStalledShard) {
   }
   // 3 completed, median 1s; the stalled shard has been running 3s — below
   // a 4x threshold, so no alert yet.
-  EXPECT_TRUE(board.watchdog_scan(4.0, 3).empty());
+  EXPECT_TRUE(board.watchdog_scan(4.0).empty());
 
   clock.advance(2.0);  // now 5s elapsed > 4 × 1s median
-  const auto fresh = board.watchdog_scan(4.0, 3);
+  const auto fresh = board.watchdog_scan(4.0);
   ASSERT_EQ(fresh.size(), 1u);
   EXPECT_EQ(fresh[0].shard, "provider-4");
   EXPECT_EQ(fresh[0].worker, 1);
@@ -135,13 +135,13 @@ TEST(StatusBoard, WatchdogCatchesArtificiallyStalledShard) {
   // One alert per attempt: rescanning later raises nothing new, but the
   // record stays on the board.
   clock.advance(10.0);
-  EXPECT_TRUE(board.watchdog_scan(4.0, 3).empty());
+  EXPECT_TRUE(board.watchdog_scan(4.0).empty());
   EXPECT_EQ(board.alerts().size(), 1u);
 
   // A fresh attempt (pool retry) resets the shard's watchdog budget.
   board.shard_started(4, 0);
   clock.advance(50.0);
-  EXPECT_EQ(board.watchdog_scan(4.0, 3).size(), 1u);
+  EXPECT_EQ(board.watchdog_scan(4.0).size(), 1u);
   EXPECT_EQ(board.alerts().size(), 2u);
 }
 
@@ -154,9 +154,9 @@ TEST(StatusBoard, WatchdogWaitsForMinCompleted) {
   clock.advance(0.1);
   board.shard_finished(0, StatusBoard::Outcome::kDone);
   clock.advance(100.0);
-  // Only 1 completed shard: below min_completed=3, the median is not yet
-  // trusted and nothing is flagged no matter how stalled.
-  EXPECT_TRUE(board.watchdog_scan(4.0, 3).empty());
+  // Only 1 completed shard: below kWatchdogMinCompleted (3), the median is
+  // not yet trusted and nothing is flagged no matter how stalled.
+  EXPECT_TRUE(board.watchdog_scan(4.0).empty());
   EXPECT_TRUE(board.alerts().empty());
 }
 
@@ -233,7 +233,7 @@ TEST(StatusStream, PoolTimeoutCountersSurfaceInStatusJson) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   };
   shards.placeholder = [](std::size_t, core::ShardFate) {};
-  core::ExecutorOptions opts;
+  core::ExecutionOptions opts;
   opts.jobs = 2;
   opts.shard_attempts = 2;
   opts.shard_timeout_s = 0.001;
@@ -262,11 +262,18 @@ TEST(StatusStream, PoolTimeoutCountersSurfaceInStatusJson) {
 }
 
 // Isolate-mode telemetry: per-worker-process rows pushed by the shard
-// supervisor surface in the status JSON, and alerts injected via
-// add_alert land next to the board's own watchdog records.
-TEST(StatusStream, ProcessRowsAndInjectedAlertsSurfaceInStatusJson) {
-  StatusBoard board;
-  board.begin({"shard-a", "shard-b"}, 2);
+// supervisor surface in the status JSON next to the board's watchdog
+// records — the one watchdog the supervisor escalates on.
+TEST(StatusStream, ProcessRowsAndWatchdogAlertsSurfaceInStatusJson) {
+  FakeClock clock;
+  StatusBoard board(clock.fn());
+  board.begin(shard_names(5), 2);
+  board.shard_started(4, 1);
+  for (std::size_t i = 0; i < kWatchdogMinCompleted; ++i) {
+    board.shard_started(i, 0);
+    clock.advance(3.0);
+    board.shard_finished(i, StatusBoard::Outcome::kDone);
+  }
 
   ProcessStatus p;
   p.slot = 1;
@@ -275,27 +282,24 @@ TEST(StatusStream, ProcessRowsAndInjectedAlertsSurfaceInStatusJson) {
   p.spawns = 3;
   p.shards_done = 7;
   p.crashes = 2;
-  p.shard = "shard-b";
+  p.shard = "provider-4";
   board.set_processes({p});
-
-  WatchdogAlert alert;
-  alert.shard = "shard-b";
-  alert.elapsed_s = 9.0;
-  alert.median_s = 3.0;
-  board.add_alert(alert);
+  ASSERT_EQ(board.watchdog_scan(2.0).size(), 1u);  // 9s vs a 3s median
 
   const auto snapshot = board.snapshot();
   ASSERT_EQ(snapshot.processes.size(), 1u);
   EXPECT_EQ(snapshot.processes[0].pid, 4242);
   ASSERT_EQ(snapshot.alerts.size(), 1u);
-  EXPECT_EQ(snapshot.alerts[0].shard, "shard-b");
+  EXPECT_EQ(snapshot.alerts[0].shard, "provider-4");
+  EXPECT_EQ(snapshot.alerts[0].worker, 1);
 
   const auto json = render_status_json(snapshot);
   EXPECT_NE(json.find("\"processes\""), std::string::npos);
   EXPECT_NE(json.find("\"pid\": 4242"), std::string::npos);
   EXPECT_NE(json.find("\"spawns\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"crashes\": 2"), std::string::npos);
-  EXPECT_NE(json.find("\"shard\": \"shard-b\""), std::string::npos);
+  EXPECT_NE(json.find("\"shard\": \"provider-4\""), std::string::npos);
+  EXPECT_NE(json.find("\"median_s\": 3.000"), std::string::npos);
 }
 
 TEST(StatusStream, CurrentWorkerIndexIsMinusOneOffPool) {
