@@ -131,8 +131,8 @@ int main() {
                  "<250ns/exchange",
                  util::format("%.0f/sec (+%.0fns/exchange)",
                               kExchanges / active_ms * 1e3, active_ns));
-  bench::note("the ≤5% kOff overhead gate is enforced on bench_routing and "
-              "bench_parallel_campaign via run_all.sh --compare; this bench "
-              "prices the hook itself at packet granularity");
+  bench::note("a plain campaign pays the kOff hook inside perfbench's audit "
+              "workload (netsim.transact_ns); this bench prices the hook "
+              "itself at packet granularity");
   return 0;
 }

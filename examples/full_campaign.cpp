@@ -93,9 +93,9 @@
 // --cache-dir store and recomputes only the rest — the final payload is
 // byte-identical to an uninterrupted run, for the census as for the
 // provider campaign. A journal from another configuration (seed, catalog
-// size, options) is refused. SIGINT/SIGTERM are handled cooperatively
-// under --isolate: workers are reaped, the final status JSON and a partial
-// manifest are flushed, exit code 130.
+// size, options) is refused with exit 2. SIGINT/SIGTERM are handled
+// cooperatively under --isolate: workers are reaped, the final status JSON
+// and a partial manifest are flushed, exit code 130.
 //
 // --max-shard-retries N bounds the re-runs any shard gets after its first
 // attempt (default 2, i.e. 3 attempts), in-process and --isolate alike: a
@@ -109,7 +109,8 @@
 // Exit-code taxonomy:
 //   0   completed; payload trustworthy (incl. graceful fault degradation)
 //   1   hard shard failure (no fault profile; shard exhausted attempts)
-//   2   usage error
+//   2   usage error, or --resume refused: the journal in the output dir
+//       was written by another configuration (nothing ran)
 //   3   completed, but >=1 shard crash-quarantined under --isolate
 //   130 interrupted (SIGINT/SIGTERM)
 #include <charconv>
@@ -626,5 +627,11 @@ int main(int argc, char** argv) {
   const auto cli = parse_cli(argc, argv);
   if (!cli) return usage();
   if (!cli->worker_mode) std::filesystem::create_directories(cli->out_dir);
-  return cli->scale > 0 ? run_census(*cli) : run_provider_campaign(*cli);
+  try {
+    return cli->scale > 0 ? run_census(*cli) : run_provider_campaign(*cli);
+  } catch (const core::ResumeRefused& e) {
+    // --resume against another configuration's journal: nothing ran.
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 }

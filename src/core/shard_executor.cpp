@@ -207,7 +207,7 @@ class Execution {
     if (!store::CampaignJournal::load(options_.journal_path, &header, &entries))
       return {};  // no loadable journal: a fresh run that carries resume
     if (header.campaign_fingerprint != shards_.fingerprint)
-      throw std::runtime_error(
+      throw ResumeRefused(
           "ShardExecutor: --resume refused — the journal describes a "
           "different campaign configuration (seed, code epoch, options, "
           "or shard selection changed)");

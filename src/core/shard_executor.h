@@ -33,6 +33,7 @@
 #include <csignal>
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -174,12 +175,20 @@ struct ExecutorResult : ExecutionRecord {
   std::vector<ShardSlot> slots;  // aligned with names
 };
 
+// Thrown by ShardExecutor::run when `resume` meets a journal written for a
+// different fingerprint: the caller asked for something the journal cannot
+// give, so a CLI reports it as a usage error.
+class ResumeRefused : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 class ShardExecutor {
  public:
   explicit ShardExecutor(ExecutionOptions options);
 
   // Runs every shard of `shards` and returns one settled slot per shard.
-  // Throws std::runtime_error when `resume` meets a journal written for a
+  // Throws ResumeRefused when `resume` meets a journal written for a
   // different fingerprint.
   [[nodiscard]] ExecutorResult run(const ShardSet& shards) const;
 

@@ -56,7 +56,10 @@ std::optional<SupervisorCrash> parse_supervisor_crash() {
 [[noreturn]] void execute_supervisor_crash(const SupervisorCrash& c) {
   switch (c.mode) {
     case SupervisorCrash::Mode::kKill: ::raise(SIGKILL); break;
-    case SupervisorCrash::Mode::kSegv: ::raise(SIGSEGV); break;
+    case SupervisorCrash::Mode::kSegv:
+      ::signal(SIGSEGV, SIG_DFL);  // die by the signal, not a handler
+      ::raise(SIGSEGV);
+      break;
     case SupervisorCrash::Mode::kExit: ::_exit(42);
   }
   ::_exit(42);

@@ -136,6 +136,9 @@ namespace {
       const std::string bytes = encode_shard_frame(torn);
       (void)util::write_all(out_fd, std::string_view(bytes).substr(
                                         0, bytes.size() / 2));
+      // Die by the signal itself, not by a handler someone installed for
+      // it (a sanitizer runtime reports SEGV and exits 1 instead).
+      ::signal(SIGSEGV, SIG_DFL);
       ::raise(SIGSEGV);
       ::_exit(124);  // unreachable unless SIGSEGV is blocked
     }

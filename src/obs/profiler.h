@@ -13,8 +13,9 @@
 // Cost contract: when the profiler is disabled (the default), constructing
 // a ProfileScope is one relaxed atomic load and a branch — no clock read,
 // no allocation, no lock — so instrumentation sites can stay in place
-// permanently (bench_obs pins both paths). When enabled, a scope costs two
-// steady_clock reads plus one short uncontended lock at close.
+// permanently (DESIGN.md §13 records both paths' cost). When enabled, a
+// scope costs two steady_clock reads plus one short uncontended lock at
+// close.
 //
 // Determinism quarantine: wall times legitimately vary run to run, so
 // nothing the profiler produces ever lands in a campaign payload — the

@@ -418,8 +418,9 @@ TEST_P(ReportCodecFuzz, MutatedTraceBytesNeverCrash) {
     bytes[pos] = static_cast<char>(rng.uniform_int(0, 255));
     obs::ShardTrace out;
     // Strictness: whatever still decodes re-encodes to the same bytes.
-    if (obs::decode_shard_trace(bytes, &out))
+    if (obs::decode_shard_trace(bytes, &out)) {
       EXPECT_EQ(obs::encode_shard_trace(out), bytes);
+    }
   }
 }
 

@@ -8,12 +8,12 @@
 // VPNA_CRASH_SHARD / VPNA_CRASH_SUPERVISOR.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -120,10 +120,22 @@ TEST(IsolateCampaign, SegfaultingEveryAttemptQuarantinesJustThatShard) {
   EXPECT_EQ(analysis::campaign_exit_code(summary), 3);
 }
 
+// Wall seconds of the slowest subset shard run alone on a clean isolated
+// worker. A hard timeout derived from it fires on a hung shard but not on
+// a healthy one, also in a slow (sanitizer) build or on a loaded host.
+double slowest_clean_shard_s() {
+  double slowest = 0.0;
+  for (const auto& name : kSubset) {
+    core::ParallelCampaign campaign(subset_options(1, true));
+    slowest = std::max(slowest, campaign.run({name}).wall_s);
+  }
+  return slowest;
+}
+
 TEST(IsolateCampaign, HangingWorkerIsEscalatedAndQuarantined) {
-  EnvGuard crash("VPNA_CRASH_SHARD", "2:hang:always");
   auto opts = subset_options(2, true);
-  opts.shard_timeout_s = 0.4;
+  opts.shard_timeout_s = std::max(0.4, 4.0 * slowest_clean_shard_s());
+  EnvGuard crash("VPNA_CRASH_SHARD", "2:hang:always");
   opts.term_grace_s = 0.1;
   opts.shard_attempts = 1;
   core::ParallelCampaign campaign(opts);
@@ -261,7 +273,7 @@ TEST(IsolateCampaign, ResumeRefusesAJournalFromAnotherCampaign) {
   core::ParallelCampaign second(opts);
   // Different seed → different campaign fingerprint → refusal, because the
   // journaled outcomes describe a different computation.
-  EXPECT_THROW((void)second.run(kSubset, /*seed=*/8), std::runtime_error);
+  EXPECT_THROW((void)second.run(kSubset, /*seed=*/8), core::ResumeRefused);
   std::filesystem::remove_all(dir);
 }
 
@@ -296,7 +308,9 @@ TEST(IsolateCampaign, ScaledCensusCrashKeepsAZeroedRecordAndCompletes) {
   EXPECT_GT(zeroed.modeled_subscribers, 0u);  // catalog facts preserved
   // Every other shard censused normally — the campaign completed.
   for (std::size_t i = 0; i < report.shards.size(); ++i) {
-    if (i != 4) EXPECT_GT(report.shards[i].vantage_points, 0u);
+    if (i != 4) {
+      EXPECT_GT(report.shards[i].vantage_points, 0u);
+    }
   }
 }
 
@@ -354,11 +368,11 @@ TEST(IsolateCampaign, ScaledCensusResumeRefusesAnotherCatalogOrSeed) {
   // catalog or another seed is another computation.
   const auto grown = ecosystem::generate_scaled_catalog(7, 50, 20181031);
   EXPECT_THROW((void)core::run_scaled_campaign(grown, opts),
-               std::runtime_error);
+               core::ResumeRefused);
   auto reseeded = opts;
   reseeded.seed = opts.seed + 1;
   EXPECT_THROW((void)core::run_scaled_campaign(catalog, reseeded),
-               std::runtime_error);
+               core::ResumeRefused);
   // The matching configuration still resumes.
   EXPECT_EQ(core::run_scaled_campaign(catalog, opts).resumed_shards, 6u);
   std::filesystem::remove_all(dir);

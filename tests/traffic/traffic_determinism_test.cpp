@@ -146,7 +146,9 @@ TEST(TrafficDeterminism, CapacityProvisioningIsAPureFunctionOfTheSeed) {
     const auto* ca = na.link_capacity(a, b);
     const auto* cb = nb.link_capacity(a, b);
     ASSERT_EQ(ca != nullptr, cb != nullptr);
-    if (ca != nullptr) EXPECT_TRUE(*ca == *cb);
+    if (ca != nullptr) {
+      EXPECT_TRUE(*ca == *cb);
+    }
   }
 }
 
