@@ -7,7 +7,7 @@
 //                   [--trace-hops] [--status-file FILE] [--watchdog MULT]
 //                   [--profile FILE] [--scale N] [--subscribers M] [--eager]
 //                   [--cache-dir DIR] [--cache off|rw|ro] [--explain-cache]
-//                   [--isolate] [--resume] [--max-shard-retries N]
+//                   [--isolate] [--max-shard-retries N]
 //
 // Default output-dir is the current directory. --jobs selects the parallel
 // campaign engine's worker count (0 = hardware concurrency, 1 = serial);
@@ -49,12 +49,12 @@
 // materialize per shard). --eager pre-materializes every shard world in
 // this process first — the peak-RSS A/B baseline for the deferred default,
 // serial and in-process by definition. Both paths run on one shard
-// executor, so the execution flags (--jobs, --isolate, --resume,
+// executor, so the execution flags (--jobs, --isolate,
 // --max-shard-retries, --status-file, --watchdog, --profile, --cache-dir,
 // --cache, --explain-cache) mean the same thing with --scale. The flags
 // that shape only the provider payload (--faults, --speedtest, --trace,
 // --metrics, --trace-hops) are refused with --scale, and --eager is
-// refused with --isolate or --resume; both exit 2.
+// refused with --isolate; both exit 2.
 //
 // --cache-dir DIR points the content-addressed artifact store at DIR and
 // (unless --cache overrides it) opens it read-write: each shard consults
@@ -86,16 +86,16 @@
 // is OOM-killed, or hangs is contained — retried on a fresh process, then
 // crash-quarantined while the rest of the campaign completes. Payloads are
 // byte-identical to in-process runs, and traced isolated runs stream each
-// shard's trace back with its report. Isolated runs also append a durable
-// campaign.journal in the output dir (one fdatasync'd line per finished
-// shard); after a crash or SIGKILL of the driver itself, re-running with
-// --resume replays every journaled shard whose artifact is still in the
-// --cache-dir store and recomputes only the rest — the final payload is
-// byte-identical to an uninterrupted run, for the census as for the
-// provider campaign. A journal from another configuration (seed, catalog
-// size, options) is refused with exit 2. SIGINT/SIGTERM are handled
+// shard's trace back with its report. SIGINT/SIGTERM are handled
 // cooperatively under --isolate: workers are reaped, the final status JSON
 // and a partial manifest are flushed, exit code 130.
+//
+// Crash recovery is a re-run with the same --cache-dir. Every finished
+// shard's artifact is filed before the shard counts as done, so after an
+// interrupt, a crash or a SIGKILL of this process itself, the same command
+// replays the finished shards from the store and recomputes only the rest;
+// the final payload is byte-identical to an uninterrupted run, on every
+// backend, for the census as for the provider campaign.
 //
 // --max-shard-retries N bounds the re-runs any shard gets after its first
 // attempt (default 2, i.e. 3 attempts), in-process and --isolate alike: a
@@ -109,8 +109,7 @@
 // Exit-code taxonomy:
 //   0   completed; payload trustworthy (incl. graceful fault degradation)
 //   1   hard shard failure (no fault profile; shard exhausted attempts)
-//   2   usage error, or --resume refused: the journal in the output dir
-//       was written by another configuration (nothing ran)
+//   2   usage error (nothing ran)
 //   3   completed, but >=1 shard crash-quarantined under --isolate
 //   130 interrupted (SIGINT/SIGTERM)
 #include <charconv>
@@ -143,7 +142,7 @@ int usage() {
                "[--watchdog MULT] [--profile FILE] [--scale N] "
                "[--subscribers M] [--eager] [--cache-dir DIR] "
                "[--cache off|rw|ro] [--explain-cache] [--isolate] "
-               "[--resume] [--max-shard-retries N]\n"
+               "[--max-shard-retries N]\n"
                "  --trace/--metrics/--trace-hops  trace every shard; combine "
                "freely with --isolate and --cache-dir\n"
                "  --max-shard-retries N  re-runs per failed shard, in-process "
@@ -152,7 +151,9 @@ int usage() {
                "execution flag, refuses --faults, --speedtest, --trace, "
                "--metrics and --trace-hops\n"
                "  --eager    census baseline: serial and in-process, refuses "
-               "--isolate and --resume\n");
+               "--isolate\n"
+               "  to resume an interrupted run, re-run it with the same "
+               "--cache-dir\n");
   return 2;
 }
 
@@ -222,8 +223,6 @@ const Flag kFlags[] = {
      }},
     {"--isolate", false, false,
      [](Cli& c, const char*) { return c.exec.isolate = true; }},
-    {"--resume", false, false,
-     [](Cli& c, const char*) { return c.exec.resume = true; }},
     {"--status-file", true, false,
      [](Cli& c, const char* v) {
        c.exec.status.file = v;
@@ -311,12 +310,10 @@ std::optional<Cli> parse_cli(int argc, char** argv) {
                  cli.provider_only_flag);
     return std::nullopt;
   }
-  // --resume replays an --isolate journal; it only makes sense isolated.
-  if (cli.exec.resume) cli.exec.isolate = true;
   if (cli.eager && cli.exec.isolate) {
     std::fprintf(stderr,
                  "--eager is the serial in-process baseline; it does not "
-                 "combine with --isolate or --resume\n");
+                 "combine with --isolate\n");
     return std::nullopt;
   }
 
@@ -325,16 +322,15 @@ std::optional<Cli> parse_cli(int argc, char** argv) {
   // always wins (so `--cache-dir D --cache ro` is a read-only consult).
   if (!exec.cache.dir.empty() && !cli.cache_mode_set)
     exec.cache.mode = store::CacheMode::kReadWrite;
-  // Process isolation: exec-mode workers, a durable journal next to the
-  // artefacts, and cooperative interrupt handling. Exec-mode workers
-  // re-parse this exact command line (so supervisor and worker derive
-  // identical shard tables); only the hidden flag is added.
+  // Process isolation: exec-mode workers and cooperative interrupt
+  // handling. Exec-mode workers re-parse this exact command line (so
+  // supervisor and worker derive identical shard tables); only the hidden
+  // flag is added.
   if (exec.isolate) {
     if (!cli.worker_mode) {
       exec.worker_argv.assign(argv, argv + argc);
       exec.worker_argv.emplace_back("--vpna-worker");
     }
-    exec.journal_path = (cli.out_dir / "campaign.journal").string();
     exec.interrupt = &g_interrupt;
   }
   return cli;
@@ -342,13 +338,14 @@ std::optional<Cli> parse_cli(int argc, char** argv) {
 
 // Set-up shared by both campaign paths (never in worker mode).
 void prepare(const Cli& cli) {
-  if (cli.exec.resume && !cli.exec.cache.enabled())
-    std::fprintf(stderr,
-                 "note: --resume without --cache-dir has no artifacts to "
-                 "replay; journaled shards recompute\n");
   if (!cli.profile_path.empty()) obs::Profiler::enable();
   if (cli.exec.isolate) install_interrupt_handlers();
 }
+
+// How to finish an interrupted run: the finished shards' artifacts are in
+// the store, so the same command replays them and computes the rest.
+constexpr const char* kResumeHint =
+    "re-run the same command with the same --cache-dir to finish";
 
 void write_profile(const Cli& cli) {
   if (cli.profile_path.empty()) return;
@@ -363,10 +360,9 @@ void write_profile(const Cli& cli) {
 void print_execution(const Cli& cli, const core::ExecutionRecord& run) {
   if (run.execution_isolated)
     std::printf("  isolation: %zu worker spawn(s), %zu crash(es), "
-                "%zu kill(s), %zu timeout(s); %zu shard(s) resumed "
-                "from journal\n",
+                "%zu kill(s), %zu timeout(s)\n",
                 run.process_spawns, run.process_crashes, run.process_kills,
-                run.process_timeouts, run.resumed_shards);
+                run.process_timeouts);
   const store::CacheConfig& config = cli.exec.cache;
   if (config.enabled()) {
     const auto cache = core::summarize_cache(run.cache_records);
@@ -415,10 +411,9 @@ int run_census(const Cli& cli) {
               static_cast<unsigned long long>(catalog.fingerprint()));
 
   prepare(cli);
-  std::printf("running scaled census (jobs=%zu, %s materialization%s%s)...\n",
+  std::printf("running scaled census (jobs=%zu, %s materialization%s)...\n",
               opts.jobs, opts.eager ? "eager" : "deferred",
-              opts.isolate ? ", isolated workers" : "",
-              opts.resume ? ", resuming" : "");
+              opts.isolate ? ", isolated workers" : "");
   const auto report = core::run_scaled_campaign(catalog, opts);
   {
     std::ofstream csv(cli.out_dir / "scale_census.csv");
@@ -447,8 +442,8 @@ int run_census(const Cli& cli) {
               (cli.out_dir / "scale_census.csv").string().c_str(),
               (cli.out_dir / "scale_manifest.json").string().c_str());
   if (report.interrupted) {
-    std::fprintf(stderr, "interrupted: scaled census stopped early "
-                         "(re-run with --resume to finish)\n");
+    std::fprintf(stderr, "interrupted: scaled census stopped early (%s)\n",
+                 kResumeHint);
     return 130;
   }
   if (!report.crashed_providers.empty()) {
@@ -479,10 +474,9 @@ int run_provider_campaign(const Cli& cli) {
 
   prepare(cli);
   const std::string profile_name(faults::profile_name(cli.fault_profile));
-  std::printf("running the full 62-provider campaign (jobs=%zu, faults=%s%s%s)...\n",
+  std::printf("running the full 62-provider campaign (jobs=%zu, faults=%s%s)...\n",
               opts.jobs, profile_name.c_str(),
-              opts.isolate ? ", isolated workers" : "",
-              opts.resume ? ", resuming" : "");
+              opts.isolate ? ", isolated workers" : "");
   core::ParallelCampaign campaign(opts);
   const auto result = campaign.run();
   const auto& reports = result.providers;
@@ -492,7 +486,7 @@ int run_provider_campaign(const Cli& cli) {
   // reaped its workers and flushed the final status JSON; flush a partial
   // run_manifest.json so the interruption is on the record, then exit 130.
   // The payload is incomplete, so none of the payload artefacts is written
-  // — a later --resume run regenerates everything from the journal.
+  // — re-running the same command over the same --cache-dir finishes it.
   if (result.interrupted) {
     const auto payload = analysis::serialize_campaign_payload(result);
     {
@@ -501,9 +495,8 @@ int run_provider_campaign(const Cli& cli) {
           analysis::build_run_manifest(opts, result, payload));
     }
     std::fprintf(stderr,
-                 "interrupted: campaign stopped early; wrote partial %s "
-                 "(re-run with --resume to finish)\n",
-                 manifest_path.string().c_str());
+                 "interrupted: campaign stopped early; wrote partial %s (%s)\n",
+                 manifest_path.string().c_str(), kResumeHint);
     return 130;
   }
 
@@ -627,11 +620,5 @@ int main(int argc, char** argv) {
   const auto cli = parse_cli(argc, argv);
   if (!cli) return usage();
   if (!cli->worker_mode) std::filesystem::create_directories(cli->out_dir);
-  try {
-    return cli->scale > 0 ? run_census(*cli) : run_provider_campaign(*cli);
-  } catch (const core::ResumeRefused& e) {
-    // --resume against another configuration's journal: nothing ran.
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
+  return cli->scale > 0 ? run_census(*cli) : run_provider_campaign(*cli);
 }

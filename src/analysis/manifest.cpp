@@ -25,8 +25,6 @@ void fill_execution(RunManifest& m, const core::ExecutionOptions& options,
   // The budget every backend grants (the executor clamps it to >= 1).
   m.shard_attempts = std::max(1, options.shard_attempts);
   m.execution = record;
-  m.journal_path = options.journal_path;
-  m.resumed = options.resume;
   m.crash_quarantined_providers = std::move(crashed);
   m.cache_mode = std::string(store::cache_mode_name(options.cache.mode));
   m.cache_dir = options.cache.dir;
@@ -52,12 +50,8 @@ void render_execution_and_cache(std::string& out, const RunManifest& m) {
   out += "  \"execution\": {\n";
   out += util::format("    \"mode\": \"%s\",\n",
                       x.execution_isolated ? "isolated" : "in-process");
-  out += util::format("    \"journal\": \"%s\",\n",
-                      obs::json_escape(m.journal_path).c_str());
-  out += util::format("    \"resumed\": %s,\n", m.resumed ? "true" : "false");
   out += util::format("    \"interrupted\": %s,\n",
                       x.interrupted ? "true" : "false");
-  out += util::format("    \"resumed_shards\": %zu,\n", x.resumed_shards);
   out += "    \"crash_quarantined\": ";
   render_string_list(out, m.crash_quarantined_providers);
   out += ",\n";
@@ -245,7 +239,7 @@ std::string render_scaled_manifest_json(
   out += util::format("    \"campaign_seed\": %llu,\n",
                       static_cast<unsigned long long>(report.seed));
   out += util::format("    \"max_clients\": %u,\n",
-                      ecosystem::ScaledShardOptions{}.max_clients);
+                      ecosystem::kScaledMaxClients);
   out += util::format("    \"payload_fingerprint\": \"%016llx\"\n",
                       static_cast<unsigned long long>(report.payload_fingerprint));
   out += "  },\n";

@@ -43,14 +43,12 @@ struct RunManifest {
 
   // --- execution + cache: what the shard executor recorded --------------
   // The executor's own record, verbatim: resolved jobs, backend ("mode"),
-  // resume replays, worker-process lifecycle counters and the final
-  // per-slot snapshot, per-shard cache provenance (key ids in canonical
-  // catalog order; outcomes depend on prior store state) and watchdog
-  // alerts. Next to it, the parameters it ran under. scale_manifest.json
-  // renders these two sections with the same code.
+  // worker-process lifecycle counters and the final per-slot snapshot,
+  // per-shard cache provenance (key ids in canonical catalog order;
+  // outcomes depend on prior store state) and watchdog alerts. Next to
+  // it, the parameters it ran under. scale_manifest.json renders these two
+  // sections with the same code.
   core::ExecutionRecord execution;
-  std::string journal_path;
-  bool resumed = false;  // run started from --resume
   std::vector<std::string> crash_quarantined_providers;
   std::string cache_mode = "off";
   std::string cache_dir;

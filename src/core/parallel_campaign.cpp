@@ -142,23 +142,6 @@ std::vector<std::string> canonical_selection(
   return out;
 }
 
-// Binds a journal to one campaign configuration: the journaled outcomes
-// describe a computation of exactly (seed, code epoch, runner options,
-// canonical selection) — resume against anything else is refused.
-std::uint64_t campaign_execution_fingerprint(
-    const std::vector<std::string>& selection, std::uint64_t seed,
-    const RunnerOptions& options) {
-  std::string canon = util::format(
-      "vpna-campaign-exec-v1\x1f%llu\x1f%u\x1f%llu\x1f",
-      static_cast<unsigned long long>(seed), store::kCodeEpoch,
-      static_cast<unsigned long long>(runner_options_fingerprint(options)));
-  for (const auto& name : selection) {
-    canon += name;
-    canon.push_back('\x1f');
-  }
-  return util::fnv1a(canon);
-}
-
 // The provider campaign's shard set: slot i is reports[i], and traces[i]
 // when traced. ParallelCampaign::run and the exec-mode worker build the
 // same set from the same options. The set's callables point into this
@@ -231,8 +214,6 @@ struct ProviderShards {
     // Under a fault profile, shards that exhaust every attempt degrade
     // gracefully into quarantine instead of failing the campaign.
     set.graceful = runner.fault_profile != faults::FaultProfile::kOff;
-    set.fingerprint = campaign_execution_fingerprint(selection, seed, runner);
-    set.seed = seed;
     return set;
   }
 
@@ -314,7 +295,7 @@ ScaledShardCensus census_shard(const ecosystem::ScaledCatalog& catalog,
   ScaledShardCensus census;
   census.provider = name;
   census.modeled_subscribers = catalog.subscribers[index];
-  census.clients = std::min(ecosystem::ScaledShardOptions{}.max_clients,
+  census.clients = std::min(ecosystem::kScaledMaxClients,
                             catalog.subscribers[index]);
   if (!tb.world) return census;
   census.hosts = static_cast<std::uint32_t>(tb.world->host_count());
@@ -387,14 +368,8 @@ struct CensusShards {
     set.key = [this](std::size_t i) {
       return scaled_shard_key(catalog, names[i], options);
     };
-    // Census shards degrade, never hard-fail the run. The journal binds to
-    // (code epoch, seed, catalog): resume refuses another size or seed.
+    // Census shards degrade, never hard-fail the run.
     set.graceful = true;
-    set.fingerprint = util::fnv1a(util::format(
-        "vpna-census-exec-v1\x1f%u\x1f%llu\x1f%016llx\x1f", store::kCodeEpoch,
-        static_cast<unsigned long long>(options.seed),
-        static_cast<unsigned long long>(catalog.fingerprint())));
-    set.seed = options.seed;
     return set;
   }
 
@@ -443,7 +418,7 @@ store::ShardKey scaled_shard_key(const ecosystem::ScaledCatalog& catalog,
 
 std::uint64_t scaled_options_fingerprint() {
   return util::fnv1a(util::format("vpna-scaled-options-v1\x1f%u\x1f",
-                                  ecosystem::ScaledShardOptions{}.max_clients));
+                                  ecosystem::kScaledMaxClients));
 }
 
 ScaledCampaignReport run_scaled_campaign(

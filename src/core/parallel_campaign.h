@@ -23,7 +23,7 @@
 
 namespace vpna::core {
 
-// Execution settings (jobs, isolation, retries, status, cache, journal)
+// Execution settings (jobs, isolation, retries, status, cache)
 // come from ExecutionOptions; see core/shard_executor.h. The one retry
 // policy applies on every backend: a provider shard that throws, crashes
 // its worker process, or overruns its per-attempt wall budget is re-run
@@ -132,15 +132,14 @@ struct CampaignReport : ExecutionRecord {
 // census cache is keyed per provider on the scaled catalog's
 // provider_fingerprint() — independent of catalog size, so growing N
 // providers to N+1 recomputes exactly the one new shard. Each shard
-// materializes at most ecosystem::ScaledShardOptions{}.max_clients (4)
-// eyeball clients.
+// materializes at most ecosystem::kScaledMaxClients (4) eyeball clients.
 struct ScaledCampaignOptions : ExecutionOptions {
   std::uint64_t seed = 20181031;
   // Eager mode materializes every shard world in the caller before any
   // census runs — the peak-RSS A/B baseline, serial, in-process and
-  // uncached by definition. The default (deferred) hands workers
-  // DeferredShard handles materialized on first touch, bounding peak RSS
-  // by the worker count instead of the shard count.
+  // uncached by definition. The default (deferred) builds each shard world
+  // inside the shard that censuses it and tears it down when the shard
+  // ends, bounding peak RSS by the worker count instead of the shard count.
   bool eager = false;
 };
 

@@ -42,6 +42,7 @@ TestRunner::TestRunner(ecosystem::Testbed& testbed, RunnerOptions options)
     : testbed_(testbed), options_(options) {}
 
 void TestRunner::collect_ground_truth() {
+  obs::ProfileScope profile("runner.ground_truth");
   obs::Span span("runner.ground_truth", "core");
   truth_ = core::collect_ground_truth(*testbed_.world, *testbed_.client);
 }

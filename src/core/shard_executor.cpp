@@ -12,7 +12,6 @@
 #include "core/shard_supervisor.h"
 #include "core/worker_protocol.h"
 #include "obs/profiler.h"
-#include "store/journal.h"
 
 namespace vpna::core {
 
@@ -135,7 +134,7 @@ ShardSupervisor::ChildRun child_run(const ShardSet& shards) {
   };
 }
 
-// One execution of one shard set: the seven steps, each written once, and
+// One execution of one shard set: the six steps, each written once, and
 // the three backends that schedule the attempts between them.
 class Execution {
  public:
@@ -159,9 +158,7 @@ class Execution {
       board_->begin(shards_.names, result_.jobs);
     }
     derive_keys();
-    const std::vector<char> journaled = replay_journal();
-    open_journal(journaled.empty());
-    consult_cache(journaled);
+    consult_cache();
 
     std::vector<std::size_t> todo;
     for (std::size_t i = 0; i < n_; ++i)
@@ -196,71 +193,16 @@ class Execution {
     }
   }
 
-  // Step 2: the shards a previous run of this computation journaled done
-  // under their current keys (empty when there is no journal to resume).
-  // The store consult below replays them; anything it cannot replay
-  // recomputes.
-  std::vector<char> replay_journal() {
-    if (!options_.resume || options_.journal_path.empty()) return {};
-    store::JournalHeader header;
-    std::vector<store::JournalEntry> entries;
-    if (!store::CampaignJournal::load(options_.journal_path, &header, &entries))
-      return {};  // no loadable journal: a fresh run that carries resume
-    if (header.campaign_fingerprint != shards_.fingerprint)
-      throw ResumeRefused(
-          "ShardExecutor: --resume refused — the journal describes a "
-          "different campaign configuration (seed, code epoch, options, "
-          "or shard selection changed)");
-    std::vector<char> journaled(n_, 0);
-    for (const auto& e : entries) {
-      if (e.outcome != "done" || e.index >= n_ ||
-          e.provider != shards_.names[e.index])
-        continue;
-      if (cache_on() && !e.key_id.empty() && e.key_id != keys_[e.index].id())
-        continue;  // journaled under a different key: recompute
-      journaled[e.index] = 1;
-    }
-    return journaled;
-  }
-
-  void open_journal(bool fresh) {
-    if (options_.journal_path.empty()) return;
-    store::JournalHeader header;
-    header.campaign_fingerprint = shards_.fingerprint;
-    header.seed = shards_.seed;
-    header.shards = n_;
-    header.cache_dir = options_.cache.dir;
-    journal_ = store::CampaignJournal::open(options_.journal_path, header, fresh);
-  }
-
-  void journal(std::size_t i, std::string_view outcome, int attempts,
-               std::string_view detail) {
-    if (!journal_ || !journal_->valid()) return;
-    store::JournalEntry e;
-    e.index = i;
-    e.provider = shards_.names[i];
-    e.outcome = std::string(outcome);
-    if (cache_on()) e.key_id = keys_[i].id();
-    e.attempts = attempts;
-    e.detail = std::string(detail);
-    std::lock_guard<std::mutex> lock(journal_mu_);
-    journal_->record(e);
-  }
-
-  // Step 3: every shard consults the store before any backend runs; a
-  // decodable hit settles the shard without ever calling `run`.
-  void consult_cache(const std::vector<char>& journaled) {
+  // Step 2: every shard consults the store before any backend runs; a
+  // decodable hit settles the shard without ever calling `run`. This is
+  // also how a re-run resumes: the shards an interrupted run finished are
+  // hits here.
+  void consult_cache() {
     if (!cache_on()) return;
-    for (std::size_t i = 0; i < n_; ++i) {
-      if (!fetch(i)) continue;
-      if (!journaled.empty() && journaled[i] != 0)
-        ++result_.resumed_shards;
-      else
-        journal(i, "done", 0, "cache-hit");
-    }
+    for (std::size_t i = 0; i < n_; ++i) fetch(i);
   }
 
-  bool fetch(std::size_t i) {
+  void fetch(std::size_t i) {
     obs::ProfileScope profile("campaign.cache");
     ShardCacheRecord& record = result_.cache_records[i];
     store::FetchResult fetched = store_->fetch(keys_[i]);
@@ -271,7 +213,7 @@ class Execution {
         if (board_) board_->cache_event(obs::StatusBoard::CacheEvent::kHit);
         result_.slots[i].fate = ShardFate::kDone;
         if (board_) board_->shard_finished(i, obs::StatusBoard::Outcome::kDone);
-        return true;
+        return;
       }
       // Integrity-valid but undecodable (foreign writer, or a codec change
       // that forgot its version bump): corruption from the campaign's point
@@ -285,13 +227,13 @@ class Execution {
     if (board_)
       board_->cache_event(corrupt ? obs::StatusBoard::CacheEvent::kCorrupt
                                   : obs::StatusBoard::CacheEvent::kMiss);
-    return false;
   }
 
-  // Steps 4–7: the one place a computed shard becomes terminal. A done
-  // shard's artifact is filed before its journal line is written, so the
-  // journal never promises an artifact that was not put; every other fate
-  // fills the slot with the set's placeholder and never leaves an artifact.
+  // Steps 3–6: the one place a computed shard becomes terminal. A done
+  // shard's artifact is filed before the shard turns terminal, so a run
+  // killed after any terminal hook leaves that shard's artifact for a
+  // re-run to replay; every other fate fills the slot with the set's
+  // placeholder and never leaves an artifact.
   // The terminal status heartbeat is published here (attempt heartbeats
   // come from the backends), and the slot index is the canonical position,
   // so the merge is the slots. `bytes` is the shard's encoding when the
@@ -312,7 +254,6 @@ class Execution {
           result_.cache_records[i].bytes = artifact.size();
         }
       }
-      journal(i, "done", attempts, "");
       if (board_) board_->shard_finished(i, obs::StatusBoard::Outcome::kDone);
       return;
     }
@@ -323,7 +264,6 @@ class Execution {
     }
     if (fate == ShardFate::kSkipped) return;
     const bool hard = fate == ShardFate::kFailed;
-    journal(i, hard ? "failed" : "quarantined", attempts, slot.error);
     if (board_)
       board_->shard_finished(i, hard ? obs::StatusBoard::Outcome::kFailed
                                      : obs::StatusBoard::Outcome::kQuarantined);
@@ -391,7 +331,7 @@ class Execution {
         const int worker = util::TaskPool::current_worker_index();
         attempt(i, worker, result_.workers[static_cast<std::size_t>(worker)]);
       }));
-    obs::ProfileScope merge_profile("campaign.merge");
+    obs::ProfileScope wait_profile("campaign.wait");
     for (auto& f : futures) f.get();
     // A task's future resolves before its worker books the task; drain the
     // pool so the steal and cpu snapshot is complete.
@@ -448,8 +388,6 @@ class Execution {
   std::optional<obs::StatusBoard> board_;
   std::optional<store::ArtifactStore> store_;
   std::vector<store::ShardKey> keys_;
-  std::optional<store::CampaignJournal> journal_;
-  std::mutex journal_mu_;
 };
 
 }  // namespace

@@ -2,11 +2,11 @@
 //
 // A campaign is a set of pure, independent shards merged in canonical
 // order. Whatever the shard computes (a provider report, a census record),
-// running the set takes the same seven steps: derive each shard's cache
-// key, replay journaled shards, consult the artifact store, publish status
-// heartbeats, give exhausted shards a placeholder, file a recomputed
-// artifact before journaling it, and keep every result in its canonical
-// slot. ShardExecutor implements each step once, over three backends:
+// running the set takes the same six steps: derive each shard's cache key,
+// consult the artifact store, publish status heartbeats, give exhausted
+// shards a placeholder, file a recomputed artifact before the shard turns
+// terminal, and keep every result in its canonical slot. ShardExecutor
+// implements each step once, over three backends:
 //
 //   in-caller  jobs == 1: the shards run one after another on the calling
 //              thread — no pool, no threads, the determinism baseline;
@@ -21,6 +21,12 @@
 // cannot be preempted, so in-process backends check it when the attempt
 // returns and discard an over-budget result.
 //
+// The store is also the one recovery mechanism. A done shard's artifact is
+// put before the shard turns terminal, so a run killed at any instant
+// leaves exactly the artifacts of the shards that finished; re-running the
+// same command over the same cache directory replays them as hits and
+// recomputes the rest.
+//
 // The campaign-specific half lives in a ShardSet. Results stay with the
 // caller: `run(i)` computes shard i into the caller's slot i, the codec
 // moves slot i to and from bytes, and `placeholder(i, fate)` fills slot i
@@ -33,7 +39,6 @@
 #include <csignal>
 #include <cstdint>
 #include <functional>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -107,10 +112,6 @@ struct ShardSet {
   std::function<store::ShardKey(std::size_t)> key;
   // Exhausted shards degrade into kQuarantined instead of kFailed.
   bool graceful = false;
-  // Binds a journal to this computation (resume refuses a journal written
-  // under any other fingerprint); `seed` is recorded in its header.
-  std::uint64_t fingerprint = 0;
-  std::uint64_t seed = 0;
 };
 
 // How a campaign executes, whatever its shards compute: declared once here
@@ -130,12 +131,9 @@ struct ExecutionOptions {
   std::vector<std::string> worker_argv;
   // Health plane: status file and watchdog (wall-clock telemetry only).
   obs::StatusOptions status;
-  // Content-addressed shard cache; off by default.
+  // Content-addressed shard cache; off by default. Re-running over the
+  // same store is how an interrupted or killed campaign resumes.
   store::CacheConfig cache;
-  // Durable journal (empty = none); `resume` replays its done shards from
-  // the store and throws on a journal from another computation.
-  std::string journal_path;
-  bool resume = false;
   // Process backend: cooperative SIGINT/SIGTERM flag; when non-zero the
   // supervisor stops dispatching, reaps its workers, and the shards it did
   // not finish settle as kSkipped.
@@ -162,7 +160,6 @@ struct ExecutionRecord {
   std::vector<ShardCacheRecord> cache_records;
   bool execution_isolated = false;  // ran on the process backend
   bool interrupted = false;         // a shard settled kSkipped
-  std::size_t resumed_shards = 0;   // replayed from the journal + store
   // Process backend telemetry.
   std::size_t process_spawns = 0;
   std::size_t process_crashes = 0;  // deaths with a shard in flight
@@ -175,21 +172,11 @@ struct ExecutorResult : ExecutionRecord {
   std::vector<ShardSlot> slots;  // aligned with names
 };
 
-// Thrown by ShardExecutor::run when `resume` meets a journal written for a
-// different fingerprint: the caller asked for something the journal cannot
-// give, so a CLI reports it as a usage error.
-class ResumeRefused : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
 class ShardExecutor {
  public:
   explicit ShardExecutor(ExecutionOptions options);
 
   // Runs every shard of `shards` and returns one settled slot per shard.
-  // Throws ResumeRefused when `resume` meets a journal written for a
-  // different fingerprint.
   [[nodiscard]] ExecutorResult run(const ShardSet& shards) const;
 
  private:

@@ -30,7 +30,7 @@ double mono_s() {
 }
 
 // VPNA_CRASH_SUPERVISOR=<n>[:kill|segv|exit] — self-destruct after the
-// n-th terminal shard outcome (journal already flushed for it).
+// n-th terminal shard outcome (its artifact already filed).
 struct SupervisorCrash {
   std::size_t after = 0;
   enum class Mode : std::uint8_t { kKill, kSegv, kExit } mode = Mode::kKill;

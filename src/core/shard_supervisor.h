@@ -24,14 +24,14 @@
 // pipes — which keeps fork() safe in library (fork-without-exec) mode and
 // makes every state transition deterministic given the same sequence of
 // worker events. Completed shards invoke `on_terminal` immediately, which
-// is where the campaign appends its journal record and files the artifact:
-// a supervisor killed at any instant leaves a journal describing exactly
-// the shards whose results are durable.
+// is where the campaign files the artifact: a supervisor killed at any
+// instant leaves a store holding exactly the shards whose results are
+// durable, and a re-run over that store replays them.
 //
-// Deterministic supervisor-crash injection (resume tests, CI):
+// Deterministic supervisor-crash injection (re-run tests, CI):
 //   VPNA_CRASH_SUPERVISOR=<n>[:kill|segv|exit]
 // self-destructs the supervisor right after the n-th terminal outcome has
-// been recorded (journal included) — the scripted stand-in for a host
+// been recorded (artifact included) — the scripted stand-in for a host
 // crash mid-campaign.
 #pragma once
 
@@ -82,7 +82,7 @@ class ShardSupervisor {
   // frames. Ignored in exec mode (the exec'd binary brings its own).
   using ChildRun = std::function<std::string(std::uint32_t, std::uint32_t)>;
   // Invoked in the SUPERVISOR the moment a shard reaches a terminal
-  // outcome (journal/artifact hook). Never invoked for kSkipped.
+  // outcome (artifact hook). Never invoked for kSkipped.
   using TerminalHook = std::function<void(std::size_t, const SupervisedShard&)>;
 
   // Reads the process-backend half of `options`: jobs (0 runs one

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <map>
 
-#include "ecosystem/capacity.h"
 #include "geo/cities.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -148,8 +147,7 @@ ScaledCatalog generate_scaled_catalog(std::size_t n_providers,
 
 Testbed build_scaled_shard(const ScaledCatalog& catalog, std::string_view name,
                            std::uint64_t campaign_seed,
-                           std::shared_ptr<const netsim::RoutingPlane> plane,
-                           const ScaledShardOptions& options) {
+                           std::shared_ptr<const netsim::RoutingPlane> plane) {
   const auto* target = catalog.provider(name);
   if (target == nullptr) return {};
 
@@ -175,7 +173,7 @@ Testbed build_scaled_shard(const ScaledCatalog& catalog, std::string_view name,
   // eyeballs, and the measurement VM. Pre-sizes the host arena and the
   // network's attachment indexes so the bulk deploy below never rehashes.
   const std::uint32_t clients = std::min<std::uint32_t>(
-      options.max_clients, catalog.subscribers[target_index]);
+      kScaledMaxClients, catalog.subscribers[target_index]);
   std::size_t expected_hosts = 1 + clients;
   for (const auto* ep : selection) expected_hosts += ep->spec.vantage_points.size();
   tb.world->reserve_hosts(expected_hosts);
@@ -218,24 +216,7 @@ Testbed build_scaled_shard(const ScaledCatalog& catalog, std::string_view name,
                                  util::format("subscriber-%u", k + 1));
   }
 
-  apply_fault_profile(tb, options.profile, seed);
-  if (options.link_capacities) apply_link_capacities(tb, seed);
   return tb;
-}
-
-DeferredShard defer_scaled_shard(const ScaledCatalog& catalog,
-                                 std::string_view name,
-                                 std::uint64_t campaign_seed,
-                                 std::shared_ptr<const netsim::RoutingPlane> plane,
-                                 const ScaledShardOptions& options) {
-  std::string provider(name);
-  const ScaledCatalog* cat = &catalog;
-  return DeferredShard(
-      provider, [cat, provider, campaign_seed, plane = std::move(plane),
-                 options] {
-        return build_scaled_shard(*cat, provider, campaign_seed, plane,
-                                  options);
-      });
 }
 
 }  // namespace vpna::ecosystem

@@ -10,7 +10,7 @@
 // and every shard built from it are byte-identical across runs, worker
 // counts and materialization modes. Subscribers are *modeled* as counts in
 // the catalog; shard builds materialize at most a capped number of eyeball
-// clients per provider (ScaledShardOptions::max_clients), which is what
+// clients per provider (kScaledMaxClients), which is what
 // keeps million-subscriber catalogs buildable.
 #pragma once
 
@@ -62,35 +62,21 @@ struct ScaledCatalog {
     std::size_t n_providers, std::uint32_t subscribers_per_provider,
     std::uint64_t seed);
 
-struct ScaledShardOptions {
-  faults::FaultProfile profile = faults::FaultProfile::kOff;
-  bool link_capacities = false;
-  // Materialization cap: at most this many eyeball clients are spawned per
-  // shard regardless of the provider's modeled subscriber count. The
-  // remaining subscribers stay modeled (counts in the census), which is
-  // what bounds shard worlds at million-subscriber catalog scale.
-  std::uint32_t max_clients = 4;
-};
+// Materialization cap: at most this many eyeball clients are spawned per
+// scaled shard regardless of the provider's modeled subscriber count. The
+// remaining subscribers stay modeled (counts in the census), which is what
+// bounds shard worlds at million-subscriber catalog scale.
+inline constexpr std::uint32_t kScaledMaxClients = 4;
 
 // Scaled counterpart of build_provider_shard: a fresh world seeded with
 // shard_seed(campaign_seed, name) holding the named provider, its reseller
 // partner when it has one (so aliasing resolves exactly as in the base
-// catalog), the measurement client, and up to max_clients subscriber
+// catalog), the measurement client, and up to kScaledMaxClients subscriber
 // eyeballs placed in deterministically sampled cities. Returns an empty
 // testbed (no world) for names not in `catalog`.
 [[nodiscard]] Testbed build_scaled_shard(
     const ScaledCatalog& catalog, std::string_view name,
     std::uint64_t campaign_seed,
-    std::shared_ptr<const netsim::RoutingPlane> plane = nullptr,
-    const ScaledShardOptions& options = {});
-
-// Deferred form: captures the arguments (plus a pointer to `catalog`,
-// which must outlive the handle) and materializes on first touch —
-// identical output to build_scaled_shard.
-[[nodiscard]] DeferredShard defer_scaled_shard(
-    const ScaledCatalog& catalog, std::string_view name,
-    std::uint64_t campaign_seed,
-    std::shared_ptr<const netsim::RoutingPlane> plane = nullptr,
-    const ScaledShardOptions& options = {});
+    std::shared_ptr<const netsim::RoutingPlane> plane = nullptr);
 
 }  // namespace vpna::ecosystem

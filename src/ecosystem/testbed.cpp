@@ -109,19 +109,6 @@ Testbed build_provider_shard(std::string_view name, std::uint64_t campaign_seed,
   return tb;
 }
 
-DeferredShard defer_provider_shard(
-    std::string_view name, std::uint64_t campaign_seed,
-    std::shared_ptr<const netsim::RoutingPlane> plane,
-    faults::FaultProfile profile, bool link_capacities) {
-  std::string provider(name);
-  return DeferredShard(
-      provider, [provider, campaign_seed, plane = std::move(plane), profile,
-                 link_capacities] {
-        return build_provider_shard(provider, campaign_seed, plane, profile,
-                                    link_capacities);
-      });
-}
-
 void apply_fault_profile(Testbed& tb, faults::FaultProfile profile,
                          std::uint64_t seed) {
   if (profile == faults::FaultProfile::kOff || !tb.world) return;

@@ -4,9 +4,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -75,61 +73,6 @@ struct Testbed {
 // speed-test suite can run; false — the default — leaves every link
 // capacity-less and the shard byte-identical to a pre-traffic-plane build.
 [[nodiscard]] Testbed build_provider_shard(
-    std::string_view name, std::uint64_t campaign_seed,
-    std::shared_ptr<const netsim::RoutingPlane> plane = nullptr,
-    faults::FaultProfile profile = faults::FaultProfile::kOff,
-    bool link_capacities = false);
-
-// A shard that has not been built yet: the provider name plus a captured
-// builder, materialized on first touch. This is the campaign engine's
-// deferred mode — the driver enqueues O(10³) handles (each a name and a
-// closure, no world), and each worker materializes its shard only when it
-// actually starts running it, so peak RSS is bounded by the worker count
-// instead of the shard count. materialize() is as pure as the builder it
-// wraps: same handle, same testbed, whichever thread touches it first.
-// Single-owner like the Testbed it produces — not safe for concurrent
-// materialization of one handle from two threads.
-class DeferredShard {
- public:
-  using Builder = std::function<Testbed()>;
-
-  DeferredShard() = default;
-  DeferredShard(std::string provider_name, Builder builder)
-      : provider_(std::move(provider_name)), builder_(std::move(builder)) {}
-
-  [[nodiscard]] const std::string& provider_name() const noexcept {
-    return provider_;
-  }
-  [[nodiscard]] bool materialized() const noexcept {
-    return testbed_.has_value();
-  }
-
-  // Builds the testbed on first call (first touch); later calls return the
-  // cached build.
-  [[nodiscard]] Testbed& materialize() {
-    if (!testbed_) testbed_.emplace(builder_());
-    return *testbed_;
-  }
-
-  // Materializes (if needed) and moves the testbed out, releasing the
-  // handle's cache — the worker-loop form: touch, run, discard.
-  [[nodiscard]] Testbed take() {
-    Testbed out = std::move(materialize());
-    testbed_.reset();
-    return out;
-  }
-
- private:
-  std::string provider_;
-  Builder builder_;
-  std::optional<Testbed> testbed_;
-};
-
-// Deferred counterpart of build_provider_shard: captures the arguments and
-// returns a handle whose materialize() performs the identical build.
-// build_provider_shard(args...) == defer_provider_shard(args...).materialize()
-// byte for byte.
-[[nodiscard]] DeferredShard defer_provider_shard(
     std::string_view name, std::uint64_t campaign_seed,
     std::shared_ptr<const netsim::RoutingPlane> plane = nullptr,
     faults::FaultProfile profile = faults::FaultProfile::kOff,

@@ -1,8 +1,9 @@
 // ShardExecutor unit tests over all three backends (in-caller, pool, and
 // fork-mode processes), driven by a fake shard set whose shards are cheap
 // strings: retries, exhaustion and its classification, the wall budget,
-// cache hits that never run a shard, artifact-before-journal ordering, and
-// codec silence with the cache off. Two end-to-end checks ride along: a
+// cache hits that never run a shard, a re-run over the store that
+// recomputes only the shards a previous run did not file, and codec
+// silence with the cache off. Two end-to-end checks ride along: a
 // throwing in-process census shard is zeroed and listed as crashed, and an
 // isolated run's manifest reports the attempts its supervisor granted.
 #include "core/shard_executor.h"
@@ -26,7 +27,6 @@
 #include "analysis/report_aggregation.h"
 #include "core/parallel_campaign.h"
 #include "ecosystem/scale.h"
-#include "store/journal.h"
 
 namespace vpna::core {
 namespace {
@@ -105,7 +105,6 @@ class FakeShards {
   }
 
   std::function<void(std::size_t)> hook;
-  std::function<void(std::size_t)> encode_hook;
   std::vector<std::string> values_;
   std::atomic<int> encodes{0};
   std::atomic<int> decodes{0};
@@ -128,7 +127,6 @@ class FakeShards {
     };
     set.encode = [this](std::size_t i) {
       ++encodes;
-      if (encode_hook) encode_hook(i);
       return values_[i];
     };
     set.decode = [this](std::size_t i, std::string_view bytes) {
@@ -309,44 +307,49 @@ TEST(ShardExecutor, CacheHitNeverCallsRun) {
   }
 }
 
-// Put-before-journal: when a shard's bytes are produced (right before they
-// are filed) its journal line must not exist yet, and after the run every
-// journaled "done" shard's artifact fetches.
-TEST(ShardExecutor, JournalRecordFollowsItsArtifactPut) {
+// The store is the recovery mechanism on every backend: a run files
+// exactly its done shards, and a re-run over the same store replays them as
+// hits and recomputes only the shard that had no artifact.
+TEST(ShardExecutor, RerunOverTheStoreRecomputesOnlyUnfiledShards) {
   for (const auto& backend : kBackends) {
     SCOPED_TRACE(backend.name);
     ScratchDir dir;
-    FakeShards shards(5, dir);
     auto opts = options_for(backend);
     opts.shard_attempts = 1;
     opts.cache.dir = dir.path("store").string();
     opts.cache.mode = store::CacheMode::kReadWrite;
-    opts.journal_path = dir.path("campaign.journal").string();
-    const auto journal_path = opts.journal_path;
-    shards.encode_hook = [&journal_path](std::size_t i) {
-      store::JournalHeader header;
-      std::vector<store::JournalEntry> entries;
-      if (!store::CampaignJournal::load(journal_path, &header, &entries))
-        return;
-      for (const auto& e : entries)
-        if (e.index == i) throw std::logic_error("journaled before filed");
-    };
-    ShardSet set = shards.set();
-    set.fingerprint = 7;
-    const auto result = ShardExecutor(opts).run(set);
-    for (const auto& slot : result.slots)
-      EXPECT_EQ(slot.fate, ShardFate::kDone) << slot.error;
-
-    store::JournalHeader header;
-    std::vector<store::JournalEntry> entries;
-    ASSERT_TRUE(store::CampaignJournal::load(journal_path, &header, &entries));
-    EXPECT_EQ(entries.size(), 5u);
-    const store::ArtifactStore store(opts.cache);
-    for (const auto& e : entries) {
-      EXPECT_EQ(e.outcome, "done");
-      EXPECT_EQ(e.key_id, set.key(e.index).id());
-      EXPECT_EQ(store.fetch(set.key(e.index)).status, store::FetchStatus::kHit)
-          << e.provider;
+    {
+      FakeShards shards(5, dir);
+      shards.hook = [](std::size_t i) {
+        if (i == 1) throw std::runtime_error("down this run");
+      };
+      ShardSet set = shards.set();
+      set.graceful = true;
+      const auto result = ShardExecutor(opts).run(set);
+      EXPECT_EQ(result.slots[1].fate, ShardFate::kQuarantined);
+      const store::ArtifactStore store(opts.cache);
+      for (std::size_t i = 0; i < 5; ++i) {
+        const auto fetched = store.fetch(set.key(i));
+        if (i == 1) {
+          EXPECT_EQ(fetched.status, store::FetchStatus::kMiss);
+        } else {
+          EXPECT_EQ(fetched.status, store::FetchStatus::kHit) << i;
+          EXPECT_EQ(fetched.payload, shards.expected(i)) << i;
+        }
+      }
+    }
+    const std::size_t first_runs = line_count(dir.path("runs.log"));
+    FakeShards shards(5, dir);
+    const auto result = ShardExecutor(opts).run(shards.set());
+    EXPECT_EQ(shards.runs(), first_runs + 1);  // only shard 1 ran again
+    const auto sum = summarize_cache(result.cache_records);
+    EXPECT_EQ(sum.hits, 4u);
+    EXPECT_EQ(sum.misses, 1u);
+    EXPECT_EQ(result.cache_records[1].outcome,
+              ShardCacheRecord::Outcome::kMiss);
+    for (std::size_t i = 0; i < 5; ++i) {
+      EXPECT_EQ(result.slots[i].fate, ShardFate::kDone) << i;
+      EXPECT_EQ(shards.values_[i], shards.expected(i)) << i;
     }
   }
 }
@@ -400,7 +403,6 @@ TEST(ShardExecutor, ThrowingInProcessCensusShardIsZeroedAndListedCrashed) {
 }
 
 TEST(ShardExecutor, IsolatedManifestReportsGrantedShardAttempts) {
-  ScratchDir dir;
   ::setenv("VPNA_CRASH_SHARD", "0:exit:always", 1);
   CampaignOptions opts;
   opts.runner.vantage_points_per_provider = 1;
@@ -408,22 +410,11 @@ TEST(ShardExecutor, IsolatedManifestReportsGrantedShardAttempts) {
   opts.isolate = true;
   opts.term_grace_s = 0.1;
   opts.shard_attempts = 2;
-  opts.journal_path = dir.path("campaign.journal").string();
   const auto report = ParallelCampaign(opts).run({"NordVPN", "Seed4.me"});
   ::unsetenv("VPNA_CRASH_SHARD");
 
   ASSERT_EQ(report.crash_quarantined_providers.size(), 1u);
   EXPECT_EQ(report.process_crashes, 2u);  // exactly the granted attempts
-  store::JournalHeader header;
-  std::vector<store::JournalEntry> entries;
-  ASSERT_TRUE(store::CampaignJournal::load(opts.journal_path, &header, &entries));
-  bool saw_quarantine = false;
-  for (const auto& e : entries) {
-    if (e.outcome != "quarantined") continue;
-    saw_quarantine = true;
-    EXPECT_EQ(e.attempts, 2);
-  }
-  EXPECT_TRUE(saw_quarantine);
   const auto json = analysis::render_manifest_json(analysis::build_run_manifest(
       opts, report, analysis::serialize_campaign_payload(report)));
   EXPECT_NE(json.find("\"shard_attempts\": 2"), std::string::npos);

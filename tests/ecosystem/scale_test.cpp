@@ -132,20 +132,5 @@ TEST(ScaledCampaign, EagerAndDeferredMaterializationAgree) {
   EXPECT_EQ(deferred.arena_used_bytes, eager.arena_used_bytes);
 }
 
-TEST(ScaledCampaign, DeferredShardMaterializesOnFirstTouch) {
-  const auto cat = ecosystem::generate_scaled_catalog(4, 100, kSeed);
-  auto handle = ecosystem::defer_scaled_shard(cat, "svp-00002", kSeed);
-  EXPECT_FALSE(handle.materialized());
-  auto& tb = handle.materialize();
-  EXPECT_TRUE(handle.materialized());
-  ASSERT_NE(tb.world, nullptr);
-
-  // Identical to the eager build: same host census, same arena footprint.
-  const auto eager = ecosystem::build_scaled_shard(cat, "svp-00002", kSeed);
-  EXPECT_EQ(tb.world->host_count(), eager.world->host_count());
-  EXPECT_EQ(tb.world->host_arena_used_bytes(),
-            eager.world->host_arena_used_bytes());
-}
-
 }  // namespace
 }  // namespace vpna

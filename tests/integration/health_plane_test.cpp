@@ -90,9 +90,13 @@ TEST_F(HealthPlaneTest, PayloadByteIdenticalWithProfilerAndStatusEnabled) {
   obs::Profiler::enable();  // report() is independent of the flag; re-check
   const auto report = obs::Profiler::instance().report();
   bool saw_shard_run = false;
-  for (const auto& phase : report.phases)
+  bool saw_ground_truth = false;
+  for (const auto& phase : report.phases) {
     if (phase.name == "shard.run") saw_shard_run = true;
+    if (phase.name == "runner.ground_truth") saw_ground_truth = true;
+  }
   EXPECT_TRUE(saw_shard_run);
+  EXPECT_TRUE(saw_ground_truth);
 }
 
 TEST_F(HealthPlaneTest, StatusFileAloneEngagesTheMonitor) {

@@ -1,9 +1,10 @@
 // Process-isolated campaign execution end to end: byte-identity with the
 // in-process engine, crash containment (exit/segv/hang workers retried on
 // fresh processes, then quarantined; hangs caught by the hard timeout or
-// by the status board's watchdog), journal-based resume after a
-// supervisor kill, interrupt semantics, and the scaled-census isolate
-// path with its resume, journal refusal and status file. Everything runs fork-mode supervised workers on a cheap
+// by the status board's watchdog), recovery from a supervisor kill by
+// re-running over the same store, interrupt semantics, and the
+// scaled-census isolate path with its re-run, shared-store reuse and
+// status file. Everything runs fork-mode supervised workers on a cheap
 // six-provider subset, with deterministic crash injection via
 // VPNA_CRASH_SHARD / VPNA_CRASH_SUPERVISOR.
 #include <gtest/gtest.h>
@@ -23,7 +24,6 @@
 #include "core/parallel_campaign.h"
 #include "core/report_codec.h"
 #include "ecosystem/scale.h"
-#include "store/journal.h"
 #include "util/strings.h"
 #include "util/subprocess.h"
 
@@ -71,6 +71,33 @@ std::filesystem::path fresh_dir(const std::string& tag) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
+}
+
+std::size_t files_under(const std::string& dir) {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir))
+    if (entry.is_regular_file()) ++n;
+  return n;
+}
+
+// What a killed run left in the store: the number of `names` whose artifact
+// fetches under `key(name)`. Every artifact found must also pass `decodes`,
+// and no other file may sit in the store (no torn or stray writes).
+template <typename Key, typename Decodes>
+std::size_t durable_artifacts(const store::CacheConfig& cache,
+                              const std::vector<std::string>& names, Key key,
+                              Decodes decodes) {
+  const store::ArtifactStore store(cache);
+  std::size_t hits = 0;
+  for (const auto& name : names) {
+    const auto fetched = store.fetch(key(name));
+    if (fetched.status != store::FetchStatus::kHit) continue;
+    ++hits;
+    EXPECT_TRUE(decodes(fetched.payload)) << name;
+  }
+  EXPECT_EQ(files_under(cache.dir), hits);
+  return hits;
 }
 
 TEST(IsolateCampaign, PayloadMatchesInProcessAtAnyWorkerCount) {
@@ -213,19 +240,15 @@ TEST(IsolateCampaign, InterruptFlagStopsTheRunWithExitCode130) {
 
 TEST(IsolateCampaign, ResumeAfterSupervisorKillIsByteIdentical) {
   const auto dir = fresh_dir("resume");
-  store::CacheConfig cache;
-  cache.dir = (dir / "cache").string();
-  cache.mode = store::CacheMode::kReadWrite;
-  const std::string journal = (dir / "campaign.journal").string();
+  auto opts = subset_options(2, true);
+  opts.cache.dir = (dir / "cache").string();
+  opts.cache.mode = store::CacheMode::kReadWrite;
 
   // Run 1 in a sacrificial child process: the supervisor self-SIGKILLs
-  // right after the third terminal outcome hits the journal — the scripted
-  // stand-in for a host crash mid-campaign.
-  auto victim = util::Subprocess::fork_child([cache, journal](int, int) {
+  // right after the third terminal outcome has filed its artifact — the
+  // scripted stand-in for a host crash mid-campaign.
+  auto victim = util::Subprocess::fork_child([opts](int, int) {
     ::setenv("VPNA_CRASH_SUPERVISOR", "3:kill", 1);
-    auto opts = subset_options(2, true);
-    opts.cache = cache;
-    opts.journal_path = journal;
     core::ParallelCampaign campaign(opts);
     (void)campaign.run(kSubset);
     return 0;  // unreachable: the supervisor dies first
@@ -234,46 +257,28 @@ TEST(IsolateCampaign, ResumeAfterSupervisorKillIsByteIdentical) {
   ASSERT_TRUE(status.signaled);
   ASSERT_EQ(status.signal, SIGKILL);
 
-  // The journal survived the kill with exactly the durable outcomes.
-  store::JournalHeader header;
-  std::vector<store::JournalEntry> entries;
-  ASSERT_TRUE(store::CampaignJournal::load(journal, &header, &entries));
-  EXPECT_EQ(entries.size(), 3u);
-  for (const auto& e : entries) EXPECT_EQ(e.outcome, "done");
+  // The store survived the kill holding exactly the three durable shards.
+  const auto key = [&opts](const std::string& name) {
+    return core::campaign_shard_key(name, 20181031, opts.runner);
+  };
+  EXPECT_EQ(durable_artifacts(opts.cache, kSubset, key,
+                              [](std::string_view bytes) {
+                                core::ProviderReport report;
+                                return core::decode_provider_report(bytes,
+                                                                    &report);
+                              }),
+            3u);
 
-  // Run 2 resumes: journaled shards replay from the artifact store, the
-  // rest recompute, and the payload is byte-identical to an uninterrupted
-  // run.
-  auto opts = subset_options(2, true);
-  opts.cache = cache;
-  opts.journal_path = journal;
-  opts.resume = true;
+  // Run 2 is the same command again: the three filed shards replay from
+  // the store, the rest recompute, and the payload is byte-identical to an
+  // uninterrupted run.
   core::ParallelCampaign campaign(opts);
   const auto report = campaign.run(kSubset);
-  EXPECT_EQ(report.resumed_shards, 3u);
+  const auto cache = core::summarize_cache(report.cache_records);
+  EXPECT_EQ(cache.hits, 3u);
+  EXPECT_EQ(cache.misses, 3u);
   EXPECT_TRUE(report.crash_quarantined_providers.empty());
   EXPECT_EQ(analysis::serialize_campaign_payload(report), golden_payload());
-  std::filesystem::remove_all(dir);
-}
-
-TEST(IsolateCampaign, ResumeRefusesAJournalFromAnotherCampaign) {
-  const auto dir = fresh_dir("mismatch");
-  store::CacheConfig cache;
-  cache.dir = (dir / "cache").string();
-  cache.mode = store::CacheMode::kReadWrite;
-
-  auto opts = subset_options(1, true);
-  opts.cache = cache;
-  opts.journal_path = (dir / "campaign.journal").string();
-  {
-    core::ParallelCampaign first(opts);
-    (void)first.run(kSubset, /*seed=*/7);
-  }
-  opts.resume = true;
-  core::ParallelCampaign second(opts);
-  // Different seed → different campaign fingerprint → refusal, because the
-  // journaled outcomes describe a different computation.
-  EXPECT_THROW((void)second.run(kSubset, /*seed=*/8), core::ResumeRefused);
   std::filesystem::remove_all(dir);
 }
 
@@ -321,8 +326,13 @@ core::ScaledCampaignOptions census_options(const std::filesystem::path& dir) {
   opts.term_grace_s = 0.3;
   opts.cache.dir = (dir / "cache").string();
   opts.cache.mode = store::CacheMode::kReadWrite;
-  opts.journal_path = (dir / "campaign.journal").string();
   return opts;
+}
+
+std::vector<std::string> census_names(const ecosystem::ScaledCatalog& catalog) {
+  std::vector<std::string> names;
+  for (const auto& ep : catalog.providers) names.push_back(ep.spec.name);
+  return names;
 }
 
 TEST(IsolateCampaign, ScaledCensusResumeAfterSupervisorKillIsByteIdentical) {
@@ -332,49 +342,61 @@ TEST(IsolateCampaign, ScaledCensusResumeAfterSupervisorKillIsByteIdentical) {
   const auto golden = core::run_scaled_campaign(catalog, inproc);
 
   const auto dir = fresh_dir("census_resume");
-  auto victim = util::Subprocess::fork_child([&catalog, dir](int, int) {
+  const auto opts = census_options(dir);
+  auto victim = util::Subprocess::fork_child([&catalog, &opts](int, int) {
     ::setenv("VPNA_CRASH_SUPERVISOR", "4:kill", 1);
-    (void)core::run_scaled_campaign(catalog, census_options(dir));
+    (void)core::run_scaled_campaign(catalog, opts);
     return 0;  // unreachable: the supervisor dies first
   });
   const auto status = victim.wait();
   ASSERT_TRUE(status.signaled);
   ASSERT_EQ(status.signal, SIGKILL);
 
-  store::JournalHeader header;
-  std::vector<store::JournalEntry> entries;
-  ASSERT_TRUE(store::CampaignJournal::load(
-      census_options(dir).journal_path, &header, &entries));
-  EXPECT_EQ(entries.size(), 4u);
-  EXPECT_EQ(header.seed, golden.seed);
+  const auto key = [&catalog, &opts](const std::string& name) {
+    return core::scaled_shard_key(catalog, name, opts);
+  };
+  EXPECT_EQ(durable_artifacts(opts.cache, census_names(catalog), key,
+                              [](std::string_view bytes) {
+                                core::ScaledShardCensus census;
+                                return core::decode_shard_census(bytes,
+                                                                 &census);
+                              }),
+            4u);
 
-  auto opts = census_options(dir);
-  opts.resume = true;
   const auto report = core::run_scaled_campaign(catalog, opts);
-  EXPECT_EQ(report.resumed_shards, 4u);
+  const auto cache = core::summarize_cache(report.cache_records);
+  EXPECT_EQ(cache.hits, 4u);
+  EXPECT_EQ(cache.misses, 8u);
   EXPECT_TRUE(report.crashed_providers.empty());
   EXPECT_EQ(report.payload, golden.payload);
   std::filesystem::remove_all(dir);
 }
 
-TEST(IsolateCampaign, ScaledCensusResumeRefusesAnotherCatalogOrSeed) {
-  const auto dir = fresh_dir("census_mismatch");
+TEST(IsolateCampaign, ScaledCensusSharedStoreServesOnlyMatchingShards) {
+  const auto dir = fresh_dir("census_shared");
   const auto catalog = ecosystem::generate_scaled_catalog(6, 50, 20181031);
-  (void)core::run_scaled_campaign(catalog, census_options(dir));
+  const auto opts = census_options(dir);
+  (void)core::run_scaled_campaign(catalog, opts);
 
-  auto opts = census_options(dir);
-  opts.resume = true;
-  // The journal binds (code epoch, seed, catalog fingerprint): a grown
-  // catalog or another seed is another computation.
+  // Shard keys are per provider and independent of catalog size: a grown
+  // catalog reuses the six shards it shares and computes the new one.
+  core::ScaledCampaignOptions clean;
+  clean.jobs = 2;
   const auto grown = ecosystem::generate_scaled_catalog(7, 50, 20181031);
-  EXPECT_THROW((void)core::run_scaled_campaign(grown, opts),
-               core::ResumeRefused);
+  const auto grown_run = core::run_scaled_campaign(grown, opts);
+  const auto grown_cache = core::summarize_cache(grown_run.cache_records);
+  EXPECT_EQ(grown_cache.hits, 6u);
+  EXPECT_EQ(grown_cache.misses, 1u);
+  EXPECT_EQ(grown_run.payload, core::run_scaled_campaign(grown, clean).payload);
+
+  // Another seed moves every shard seed, so nothing in the store matches.
   auto reseeded = opts;
   reseeded.seed = opts.seed + 1;
-  EXPECT_THROW((void)core::run_scaled_campaign(catalog, reseeded),
-               core::ResumeRefused);
-  // The matching configuration still resumes.
-  EXPECT_EQ(core::run_scaled_campaign(catalog, opts).resumed_shards, 6u);
+  clean.seed = reseeded.seed;
+  const auto reseeded_run = core::run_scaled_campaign(catalog, reseeded);
+  EXPECT_EQ(core::summarize_cache(reseeded_run.cache_records).hits, 0u);
+  EXPECT_EQ(reseeded_run.payload,
+            core::run_scaled_campaign(catalog, clean).payload);
   std::filesystem::remove_all(dir);
 }
 

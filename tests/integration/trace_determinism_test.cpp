@@ -1,7 +1,8 @@
 // Determinism contract of the observability layer: the canonicalized trace
 // and metrics exports of a campaign are byte-identical at any worker count,
 // in-process or in isolated worker processes, with the artifact cache off,
-// cold or warm, and after a resumed run — and turning tracing on does not
+// cold or warm, and after a killed run is re-run over its store — and
+// turning tracing on does not
 // change the campaign payload itself.
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "analysis/report_aggregation.h"
 #include "analysis/report_writer.h"
 #include "core/parallel_campaign.h"
+#include "core/report_codec.h"
 #include "obs/export.h"
 #include "util/subprocess.h"
 
@@ -166,9 +168,8 @@ TEST(TraceDeterminism, ResumedIsolatedRunMatchesInProcess) {
   auto opts = isolated_options(2);
   opts.cache.dir = (dir / "cache").string();
   opts.cache.mode = store::CacheMode::kReadWrite;
-  opts.journal_path = (dir / "campaign.journal").string();
 
-  // The supervisor self-SIGKILLs after its third journaled outcome, in a
+  // The supervisor self-SIGKILLs after its third filed outcome, in a
   // sacrificial child process: a host crash mid-campaign.
   auto victim = util::Subprocess::fork_child([opts, seed](int, int) {
     ::setenv("VPNA_CRASH_SUPERVISOR", "3:kill", 1);
@@ -179,10 +180,25 @@ TEST(TraceDeterminism, ResumedIsolatedRunMatchesInProcess) {
   ASSERT_TRUE(status.signaled);
   ASSERT_EQ(status.signal, SIGKILL);
 
-  opts.resume = true;
-  const auto resumed = core::ParallelCampaign(opts).run(kSubset, seed);
-  EXPECT_EQ(resumed.resumed_shards, 3u);
-  expect_identical(in_process, exports_of(resumed), "resumed isolated");
+  // Exactly the three finished shards are in the store, traces included.
+  const store::ArtifactStore store(opts.cache);
+  std::size_t durable = 0;
+  for (const auto& name : kSubset) {
+    const auto fetched =
+        store.fetch(core::campaign_shard_key(name, seed, opts.runner, opts.trace));
+    if (fetched.status != store::FetchStatus::kHit) continue;
+    ++durable;
+    core::ProviderReport report;
+    obs::ShardTrace trace;
+    EXPECT_TRUE(core::decode_traced_shard(fetched.payload, &report, &trace))
+        << name;
+  }
+  EXPECT_EQ(durable, 3u);
+
+  // The same command again replays them and recomputes the rest.
+  const auto rerun = core::ParallelCampaign(opts).run(kSubset, seed);
+  EXPECT_EQ(core::summarize_cache(rerun.cache_records).hits, 3u);
+  expect_identical(in_process, exports_of(rerun), "re-run isolated");
   std::filesystem::remove_all(dir);
 }
 
